@@ -33,6 +33,8 @@ SAMPLE_FLOOR = 10_000
 SAMPLE_FRACTION = 0.01
 #: Cap on sampled distance pairs; the mean converges long before this.
 MAX_DISTANCE_PAIRS = 20_000
+#: Row pairs per chunk when measuring sampled distances.
+PAIR_CHUNK = 2048
 #: Clamp for the table count after rounding.
 MAX_TABLES = 64
 #: Fallback bucket length when every sampled vector coincides (mu = 0).
@@ -70,37 +72,83 @@ def alpha_for_label_count(label_count: int) -> float:
 
 
 def estimate_distance_scale(
-    vectors: np.ndarray, rng: np.random.Generator
+    vectors: np.ndarray,
+    rng: np.random.Generator,
+    groups: np.ndarray | None = None,
 ) -> float:
-    """Average pairwise Euclidean distance over a sampled subset."""
+    """Average pairwise Euclidean distance over a sampled subset.
+
+    ``groups`` optionally labels the rows: rows sharing a label must have
+    identical vectors (the columnar pipeline passes its structural
+    pattern index).  When there are few distinct labels, each drawn
+    label pair is measured once and its distance reused, which returns
+    exactly the per-pair mean at a fraction of the cost on repetitive
+    batches.
+    """
     count = len(vectors)
     if count < 2:
         return 0.0
     sample_size = max(int(count * SAMPLE_FRACTION), SAMPLE_FLOOR)
     sample_size = min(sample_size, count)
-    indices = (
-        np.arange(count)
-        if sample_size == count
-        else rng.choice(count, size=sample_size, replace=False)
-    )
-    sample = vectors[indices]
+    if sample_size == count:
+        sample = vectors
+    else:
+        indices = rng.choice(count, size=sample_size, replace=False)
+        sample = vectors[indices]
+        if groups is not None:
+            groups = groups[indices]
 
     if sample_size <= 200:
         # Small samples: take every pair exactly.
-        deltas = sample[:, None, :] - sample[None, :, :]
-        squared = np.einsum("ijk,ijk->ij", deltas, deltas)
-        upper = squared[np.triu_indices(sample_size, k=1)]
-        return float(np.sqrt(upper).mean()) if upper.size else 0.0
+        left, right = np.triu_indices(sample_size, k=1)
+    else:
+        pair_budget = min(
+            MAX_DISTANCE_PAIRS, sample_size * (sample_size - 1) // 2
+        )
+        left = rng.integers(0, sample_size, pair_budget)
+        right = rng.integers(0, sample_size, pair_budget)
+        distinct = left != right
+        if not np.any(distinct):
+            return 0.0
+        left, right = left[distinct], right[distinct]
+    if groups is None:
+        return float(_pair_distances(sample, left, right).mean())
+    width = int(groups.max()) + 1
+    if width * width > 4 * len(left):
+        return float(_pair_distances(sample, left, right).mean())
+    # Rows of one group share their vector: measure each drawn group pair
+    # once (from any of its drawn row pairs; a - b and b - a are exact
+    # negations, so the pair is unordered) and look the distance up per
+    # drawn pair -- the same values in the same order, so the same mean.
+    left_groups, right_groups = groups[left], groups[right]
+    codes = (
+        np.minimum(left_groups, right_groups) * width
+        + np.maximum(left_groups, right_groups)
+    )
+    slot = np.full(width * width, -1, dtype=np.intp)
+    slot[codes] = np.arange(len(codes))
+    cells = np.flatnonzero(slot >= 0)
+    table = np.empty(width * width)
+    table[cells] = _pair_distances(
+        sample, left[slot[cells]], right[slot[cells]]
+    )
+    return float(table[codes].mean())
 
-    pair_budget = min(MAX_DISTANCE_PAIRS, sample_size * (sample_size - 1) // 2)
-    left = rng.integers(0, sample_size, pair_budget)
-    right = rng.integers(0, sample_size, pair_budget)
-    distinct = left != right
-    if not np.any(distinct):
-        return 0.0
-    deltas = sample[left[distinct]] - sample[right[distinct]]
-    distances = np.sqrt(np.einsum("ij,ij->i", deltas, deltas))
-    return float(distances.mean())
+
+def _pair_distances(
+    sample: np.ndarray, left: np.ndarray, right: np.ndarray
+) -> np.ndarray:
+    """Euclidean distance of each (left, right) row pair.
+
+    Computed in chunks, so the transient delta matrix stays small however
+    wide the vectors are.
+    """
+    distances = np.empty(len(left))
+    for start in range(0, len(left), PAIR_CHUNK):
+        stop = start + PAIR_CHUNK
+        deltas = sample[left[start:stop]] - sample[right[start:stop]]
+        distances[start:stop] = np.sqrt(np.einsum("ij,ij->i", deltas, deltas))
+    return distances
 
 
 def _table_count(
@@ -121,11 +169,14 @@ def adapt_parameters(
     kind: str,
     overrides: AdaptiveOverrides | None = None,
     seed: int = 0,
+    groups: np.ndarray | None = None,
 ) -> AdaptiveParameters:
     """Resolve LSH parameters for ``vectors`` per the section 4.2 heuristics.
 
     ``kind`` selects the node or edge T formula (``"nodes"`` / ``"edges"``).
     Overridden fields short-circuit the corresponding heuristic.
+    ``groups`` labels rows with identical vectors (see
+    :func:`estimate_distance_scale`); it changes the cost, not the result.
     """
     if kind not in ("nodes", "edges"):
         raise ValueError(f"kind must be 'nodes' or 'edges', got {kind!r}")
@@ -133,7 +184,7 @@ def adapt_parameters(
     rng = np.random.default_rng(seed)
     element_count = len(vectors)
 
-    mu = estimate_distance_scale(vectors, rng)
+    mu = estimate_distance_scale(vectors, rng, groups)
     b_base = max(1.2 * mu, MIN_BUCKET_LENGTH)
     alpha = (
         overrides.alpha

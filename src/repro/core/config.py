@@ -96,12 +96,13 @@ class PGHiveConfig:
     #: Composite-key tracking cap: pair trackers are only created while a
     #: type's first instance has at most this many property keys.
     key_pair_tracking_cap: int = DEFAULT_PAIR_CAP
-    #: Content-addressable structural dedup: columnar rows whose interned
-    #: element signature has a live refcount skip preprocessing and LSH
-    #: clustering, folding only the streaming accumulators.  Engages for
+    #: Content-addressable structural dedup: clusters whose rows all
+    #: carry one interned element signature with a live refcount read
+    #: their pattern off the signature and fold the streaming
+    #: accumulators through the repeat fast paths.  Engages for
     #: exact-grouping clustering (MinHash + AND); other configurations
-    #: keep the full per-row pipeline.  Schema output is identical either
-    #: way (DESIGN.md "Structural dedup").
+    #: keep the generic fold.  Schema output is identical either way
+    #: (DESIGN.md "Structural dedup").
     structural_dedup: bool = True
     #: MinHash hashing kernel: ``"auto"`` selects the compiled (numba)
     #: kernel when importable and falls back to pure numpy, ``"numpy"``

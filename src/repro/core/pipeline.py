@@ -14,31 +14,20 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.accumulators import SummaryOptions
 from repro.core.adaptive import AdaptiveParameters
 from repro.core.cardinality_inference import (
     compute_cardinalities,
     compute_cardinalities_streaming,
 )
-from repro.core.clustering import (
-    ColumnarCluster,
-    cluster_features,
-    cluster_features_columnar,
-)
+from repro.core.clustering import cluster_features_columnar
 from repro.core.config import ClusteringMethod, PGHiveConfig
 from repro.core.constraints import infer_property_constraints
 from repro.core.datatype_inference import infer_datatypes, infer_datatypes_streaming
 from repro.core.preprocess import Preprocessor
 from repro.core.serialization import to_pg_schema, to_xsd
 from repro.core.type_extraction import extract_types
-from repro.graph.columnar import (
-    ColumnarElements,
-    ElementBatch,
-    SignatureStore,
-    ValueColumn,
-)
+from repro.graph.columnar import ColumnarElements, ElementBatch, SignatureStore
 from repro.graph.model import PropertyGraph
 from repro.graph.store import GraphStore
 from repro.lsh.base import GroupingRule
@@ -188,62 +177,6 @@ class PGHive:
     # ------------------------------------------------------------------
     # Shared internals
     # ------------------------------------------------------------------
-    def _process_batch(
-        self,
-        graph: PropertyGraph,
-        schema: SchemaGraph,
-        timer: Timer,
-        result: DiscoveryResult,
-        state: PipelineState | None = None,
-        build_summaries: bool = False,
-        summary_options: SummaryOptions | None = None,
-        exclude_record: frozenset[str] = frozenset(),
-    ) -> None:
-        """Steps (b)-(d) for one batch, merging into ``schema`` in place.
-
-        When ``state`` is supplied (incremental runs), the preprocessor is
-        fitted on the first batch only and reused afterwards -- tokens the
-        model never saw embed through their deterministic identity vector,
-        so identical tokens still agree across batches -- and the MinHash
-        signature caches persist, honouring the paper's "never revisit
-        earlier batches" design.
-
-        ``build_summaries`` feeds the per-type streaming accumulators
-        during extraction; only the session's streaming path sets it --
-        static discovery and the union-rescan oracle post-process by full
-        scan, so building summaries there would be pure overhead.  When
-        set, ``summary_options`` overrides the config-derived tracking
-        options (the session uses it to apply its per-session key flag).
-
-        ``exclude_record`` names batch elements that must not be recorded
-        as instances -- endpoint stubs owned by another shard.  They still
-        participate in preprocessing and clustering (endpoint tokens and
-        batch well-formedness need them) but contribute no counts, specs,
-        or accumulator folds.
-        """
-        if state is None:
-            state = PipelineState()
-        summary_options = self._resolve_summary_options(
-            build_summaries, summary_options
-        )
-        with timer.measure("preprocess"):
-            if state.preprocessor is None:
-                state.preprocessor = Preprocessor(self.config).fit(graph)
-            preprocessor = state.preprocessor
-            node_features = preprocessor.node_features(graph)
-            edge_features = preprocessor.edge_features(graph)
-        with timer.measure("clustering"):
-            node_outcome = cluster_features(
-                node_features, self.config, "nodes", state.minhash_cache
-            )
-            edge_outcome = cluster_features(
-                edge_features, self.config, "edges", state.minhash_cache
-            )
-        self._extract_and_tally(
-            schema, timer, result, node_outcome, edge_outcome,
-            summary_options, exclude_record,
-        )
-
     def _process_batch_columnar(
         self,
         batch: ElementBatch,
@@ -256,27 +189,48 @@ class PGHive:
         exclude_record: frozenset[str] = frozenset(),
         signatures: SignatureStore | None = None,
     ) -> None:
-        """Steps (b)-(d) for one columnar batch (the zero-copy fast path).
+        """Steps (b)-(d) for one batch, merging into ``schema`` in place.
 
-        Mirrors :meth:`_process_batch` stage for stage but never touches
-        element objects: the preprocessor assembles vectors from interned
-        id columns, clustering signs one MinHash pattern per distinct
-        (label-token, key-set) combination, and extraction folds value
-        columns into the per-type accumulators.  Schema results are
-        fingerprint-identical to the element-wise path over the
-        materialised batch (the columnar oracle suite pins this).
+        Every input reaches this step as an :class:`ElementBatch` (element
+        inputs are converted at the session boundary) and no element
+        objects are touched: the preprocessor assembles vectors from
+        interned id columns, clustering signs one MinHash pattern per
+        distinct (label-token, key-set) combination, and extraction folds
+        value columns into the per-type accumulators.  Schema results are
+        fingerprint-identical to the element-wise reference of the test
+        suite over the materialised batch (the columnar oracle pins this).
 
-        ``signatures`` enables content-addressable structural dedup: rows
-        whose element signature already has a live refcount (a *prior
-        batch* carried the same structure) skip preprocessing and
-        clustering and fold straight into the accumulators through
-        per-signature repeat clusters.  The split only engages for
-        exact-grouping clustering (MinHash + AND), where cluster
-        membership is a pure function of the interned id columns the
-        signature already captures -- so splitting cannot change the
-        discovered schema, only the work done to discover it.  Refcounts
-        are maintained whenever a store is supplied (even when the split
-        is gated off) so deletions can decrement symmetrically.
+        When ``state`` is supplied (incremental runs), the preprocessor is
+        fitted on the first batch only and reused afterwards -- tokens the
+        model never saw embed through their deterministic identity vector,
+        so identical tokens still agree across batches -- and the MinHash
+        signature caches persist, honouring the paper's "never revisit
+        earlier batches" design.
+
+        ``build_summaries`` feeds the per-type streaming accumulators
+        during extraction; only the session's streaming path sets it --
+        static discovery and the union-rescan path post-process by full
+        scan, so building summaries there would be pure overhead.  When
+        set, ``summary_options`` overrides the config-derived tracking
+        options (the session uses it to apply its per-session key flag).
+
+        ``exclude_record`` names node rows that must not be recorded as
+        instances -- endpoint stubs whose instances are owned elsewhere.
+        They still participate in preprocessing and clustering (endpoint
+        tokens and batch well-formedness need them) but contribute no
+        counts, specs, or accumulator folds.
+
+        ``signatures`` enables content-addressable structural dedup: a
+        cluster whose rows all carry one element signature with a live
+        refcount (a *prior batch* recorded the same structure) is built
+        as a repeat cluster, which reads its pattern off the signature
+        and folds values through the accumulators' ``observe_repeat``
+        fast paths.  Dedup only engages for exact-grouping clustering
+        (MinHash + AND).  Every row is still preprocessed and clustered,
+        so the adaptive parameters, the partition and the discovered
+        schema are those of a run without dedup -- only the work differs.
+        Refcounts are maintained whenever a store is supplied (even when
+        dedup is gated off) so deletions can decrement symmetrically.
         """
         if state is None:
             state = PipelineState()
@@ -289,71 +243,31 @@ class PGHive:
             and self.config.method is ClusteringMethod.MINHASH
             and self.config.grouping_rule is GroupingRule.AND
         )
+        node_repeats = edge_repeats = None
         if signatures is not None:
-            node_first, node_repeats = _split_repeats(
-                batch.nodes, signatures, exclude_record, dedup_active
+            node_repeats = _count_signatures(
+                batch.nodes, signatures, exclude_record
             )
-            edge_first, edge_repeats = _split_repeats(
-                batch.edges, signatures, frozenset(), dedup_active
+            edge_repeats = _count_signatures(
+                batch.edges, signatures, frozenset()
             )
-        if dedup_active and (node_repeats or edge_repeats):
-            work = ElementBatch(
-                _take_rows(batch.nodes, node_first),
-                _take_rows(batch.edges, edge_first),
-                batch.interner,
-            )
-        else:
-            work = batch
-            node_repeats = edge_repeats = {}
+            if not dedup_active:
+                node_repeats = edge_repeats = None
         with timer.measure("preprocess"):
             if state.preprocessor is None:
-                state.preprocessor = Preprocessor(self.config).fit_batch(work)
+                state.preprocessor = Preprocessor(self.config).fit_batch(batch)
             preprocessor = state.preprocessor
-            node_features = preprocessor.node_features_columnar(work)
-            edge_features = preprocessor.edge_features_columnar(work)
+            node_features = preprocessor.node_features_columnar(batch)
+            edge_features = preprocessor.edge_features_columnar(batch)
         with timer.measure("clustering"):
             node_outcome = cluster_features_columnar(
-                node_features, self.config, "nodes", state.minhash_cache
+                node_features, self.config, "nodes", state.minhash_cache,
+                repeat_signatures=node_repeats,
             )
             edge_outcome = cluster_features_columnar(
-                edge_features, self.config, "edges", state.minhash_cache
+                edge_features, self.config, "edges", state.minhash_cache,
+                repeat_signatures=edge_repeats,
             )
-            interner = batch.interner
-            node_outcome.clusters.extend(
-                ColumnarCluster(batch.nodes, interner, rows, repeat_signature=sid)
-                for sid, rows in node_repeats.items()
-            )
-            edge_outcome.clusters.extend(
-                ColumnarCluster(batch.edges, interner, rows, repeat_signature=sid)
-                for sid, rows in edge_repeats.items()
-            )
-        self._extract_and_tally(
-            schema, timer, result, node_outcome, edge_outcome,
-            summary_options, exclude_record,
-        )
-
-    def _resolve_summary_options(
-        self, build_summaries: bool, summary_options: SummaryOptions | None
-    ) -> SummaryOptions | None:
-        if not build_summaries:
-            return None
-        if summary_options is not None:
-            return summary_options
-        return SummaryOptions(
-            track_keys=self.config.infer_keys,
-            pair_cap=self.config.key_pair_tracking_cap,
-        )
-
-    def _extract_and_tally(
-        self,
-        schema: SchemaGraph,
-        timer: Timer,
-        result: DiscoveryResult,
-        node_outcome,
-        edge_outcome,
-        summary_options: SummaryOptions | None,
-        exclude_record: frozenset[str],
-    ) -> None:
         with timer.measure("extraction"):
             extract_types(
                 schema,
@@ -367,6 +281,18 @@ class PGHive:
         result.edge_parameters = edge_outcome.parameters or result.edge_parameters
         result.node_cluster_count += node_outcome.cluster_count
         result.edge_cluster_count += edge_outcome.cluster_count
+
+    def _resolve_summary_options(
+        self, build_summaries: bool, summary_options: SummaryOptions | None
+    ) -> SummaryOptions | None:
+        if not build_summaries:
+            return None
+        if summary_options is not None:
+            return summary_options
+        return SummaryOptions(
+            track_keys=self.config.infer_keys,
+            pair_cap=self.config.key_pair_tracking_cap,
+        )
 
     def post_process(
         self,
@@ -410,27 +336,22 @@ class PGHive:
         return schema
 
 
-def _split_repeats(
+def _count_signatures(
     block: ColumnarElements,
     signatures: SignatureStore,
     exclude_record: frozenset[str],
-    split: bool,
-) -> tuple[list[int], dict[int, list[int]]]:
-    """Classify ``block`` rows against the signature store, counting inserts.
+) -> set[int]:
+    """Count ``block``'s rows into the signature store.
 
-    A row is a *repeat* iff its signature had a live refcount before this
-    batch: rows of a batch-new structure all stay together on the full
-    pipeline, so first-instance accumulator semantics (key-pair seeding)
-    are decided by the same group fold as without dedup.  Every
-    non-excluded row increments its refcount; excluded rows (endpoint
-    stubs owned by another shard) are classified for the split but never
-    counted, mirroring how they are never recorded -- or deleted -- here.
+    Returns the signatures that already had a live refcount before this
+    batch (structures a prior batch recorded).  Every non-excluded row
+    increments its refcount; excluded rows (endpoint stubs owned by
+    another shard) are never counted, mirroring how they are never
+    recorded -- or deleted -- here.
     """
     refcounts = signatures.refcounts
     sig_list = block.signature_list
     prior = {sid for sid in set(sig_list) if sid in refcounts}
-    first_rows: list[int] = []
-    repeats: dict[int, list[int]] = {}
     get = refcounts.get
     if exclude_record and block.kind == "nodes":
         ids = block.ids
@@ -441,55 +362,4 @@ def _split_repeats(
         # Bulk path: fold one Counter instead of a per-row dict update.
         for sid, count in Counter(sig_list).items():
             refcounts[sid] = get(sid, 0) + count
-    if split:
-        for row, sid in enumerate(sig_list):
-            if sid in prior:
-                repeats.setdefault(sid, []).append(row)
-            else:
-                first_rows.append(row)
-    return first_rows, repeats
-
-
-def _take_rows(block: ColumnarElements, rows: list[int]) -> ColumnarElements:
-    """A derived block holding only ``rows`` of ``block``, order preserved.
-
-    Value columns are remapped through an old-row -> new-row index, which
-    keeps each column's row array sorted (the slice preserves relative
-    order), so downstream grouping logic sees a well-formed block.
-    """
-    if len(rows) == len(block):
-        return block
-    index = np.asarray(rows, dtype=np.intp)
-    old_to_new = np.full(len(block), -1, dtype=np.intp)
-    old_to_new[index] = np.arange(len(rows), dtype=np.intp)
-    columns: dict[str, ValueColumn] = {}
-    for key, column in block.columns.items():
-        mapped = old_to_new[column.rows]
-        mask = mapped >= 0
-        if not mask.any():
-            continue
-        columns[key] = ValueColumn(mapped[mask], column.values[mask])
-    ids = [block.ids[row] for row in rows]
-    if block.kind == "edges":
-        return ColumnarElements(
-            "edges",
-            ids,
-            block.labelset_ids[index],
-            block.token_sids[index],
-            block.keyset_ids[index],
-            columns,
-            [block.source_ids[row] for row in rows],
-            [block.target_ids[row] for row in rows],
-            block.src_token_sids[index],
-            block.tgt_token_sids[index],
-            block.signature_ids[index],
-        )
-    return ColumnarElements(
-        "nodes",
-        ids,
-        block.labelset_ids[index],
-        block.token_sids[index],
-        block.keyset_ids[index],
-        columns,
-        signature_ids=block.signature_ids[index],
-    )
+    return prior

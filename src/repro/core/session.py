@@ -298,10 +298,13 @@ class SchemaSession:
     def apply(self, change_set: ChangeSet) -> ChangeReport:
         """Apply one change-set: inserts first, then deletions.
 
-        Change-sets carrying a columnar payload take the zero-copy ingest
-        path: the pipeline consumes the :class:`ElementBatch` natively
-        and no per-element dataclasses are materialised (unless the
-        session retains a union graph, which is maintained element-wise).
+        Every insert reaches the pipeline as an :class:`ElementBatch`.
+        Columnar payloads are consumed as they are; element inserts are
+        converted once, here, into a batch on the session's own interner.
+        Edge endpoints the change-set does not ship resolve against the
+        retained union graph, then an attached store; those already
+        recorded travel as stub rows: clustered for context, never
+        re-recorded.
         """
         if change_set.has_deletions and self._union is None:
             raise ConfigurationError(
@@ -309,38 +312,36 @@ class SchemaSession:
                 "session with PGHiveConfig(retain_union=True)"
             )
         columnar = change_set.columnar
+        elements = None
+        resolved: frozenset[str] = frozenset()
         if columnar is not None:
             if change_set.nodes or change_set.edges:
                 raise ConfigurationError(
                     "a change-set carries either element-wise or columnar "
                     "inserts, not both"
                 )
-            stubs = change_set.stub_node_ids
-            if stubs:
-                # Guard against producers flagging ids they did not ship.
-                stubs = frozenset(stubs) & set(columnar.nodes.ids)
+        elif change_set.has_inserts:
+            elements, resolved = self._insert_graph(change_set)
+            columnar = ElementBatch.from_graph(elements, self._dstate.interner)
+        if columnar is None or not len(columnar):
             return self._apply(
-                None,
-                change_set.delete_edges,
-                change_set.delete_nodes,
-                inserted=(
-                    columnar.node_count - len(stubs),
-                    columnar.edge_count,
-                ),
-                exclude_record=stubs,
-                columnar=columnar if len(columnar) else None,
+                None, change_set.delete_edges, change_set.delete_nodes
             )
-        batch = self._insert_graph(change_set)
-        stubs = change_set.stub_node_ids
+        stubs = frozenset(change_set.stub_node_ids)
         if stubs:
             # Guard against producers flagging ids they did not ship.
-            stubs = frozenset(stubs) & {n.node_id for n in change_set.nodes}
+            stubs &= set(columnar.nodes.ids)
+        inserted = columnar.node_count - len(stubs) - len(resolved)
+        # Resolved endpoints the schema already records are stubs too; a
+        # store node this session never saw is recorded like a shipped one.
+        stubs |= {node_id for node_id in resolved if self._records_node(node_id)}
         return self._apply(
-            batch,
+            columnar,
             change_set.delete_edges,
             change_set.delete_nodes,
-            inserted=(len(change_set.nodes) - len(stubs), len(change_set.edges)),
+            inserted=(inserted, columnar.edge_count),
             exclude_record=stubs,
+            elements=elements,
         )
 
     def add_batch(self, batch: PropertyGraph) -> ChangeReport:
@@ -352,31 +353,34 @@ class SchemaSession:
         did).
         """
         return self._apply(
-            batch, (), (), inserted=(batch.node_count, batch.edge_count)
+            ElementBatch.from_graph(batch, self._dstate.interner),
+            (),
+            (),
+            inserted=(batch.node_count, batch.edge_count),
+            elements=batch,
         )
 
     def _apply(
         self,
-        batch: PropertyGraph | None,
+        batch: ElementBatch | None,
         delete_edge_ids: Iterable[str],
         delete_node_ids: Iterable[str],
         inserted: tuple[int, int] = (0, 0),
         exclude_record: frozenset[str] = frozenset(),
-        columnar: ElementBatch | None = None,
+        elements: PropertyGraph | None = None,
     ) -> ChangeReport:
         """Shared apply path.  ``inserted`` is the *producer's* insert
-        count -- endpoint stubs resolved into the materialised batch are
+        count -- endpoint stubs shipped or resolved into the batch are
         replays, not inserts, and must not inflate the report.
-        ``exclude_record`` carries producer-marked stub ids (sharded
-        feeds): clustered but never recorded as instances."""
+        ``exclude_record`` carries the stub ids: clustered but never
+        recorded as instances.  ``elements`` is the batch's element form
+        when the caller already holds one (see :meth:`_ingest_columnar`)."""
         self._sequence += 1
         nodes_deleted = edges_deleted = 0
         change_timer = Timer()
         with change_timer.measure("change"):
             if batch is not None:
-                self._ingest(batch, exclude_record)
-            elif columnar is not None:
-                self._ingest_columnar(columnar, exclude_record)
+                self._ingest_columnar(batch, exclude_record, elements)
             if delete_edge_ids or delete_node_ids:
                 edges_deleted = self._delete_edges(delete_edge_ids)
                 nodes_deleted, cascaded = self._delete_nodes(delete_node_ids)
@@ -400,51 +404,46 @@ class SchemaSession:
         self._emit(report)
         return report
 
-    def _ingest(
-        self,
-        batch: PropertyGraph,
-        exclude_record: frozenset[str] = frozenset(),
-    ) -> None:
-        """Steps (b)-(d) for one insert batch, merging into the schema."""
-        self._pipeline._process_batch(
-            batch,
-            self._schema,
-            self._timer,
-            self._result,
-            self._state,
-            build_summaries=(
-                self._streaming
-                and self._streaming_valid
-                and self.config.post_processing
-            ),
-            summary_options=SummaryOptions(
-                track_keys=self._track_keys,
-                pair_cap=self.config.key_pair_tracking_cap,
-            ),
-            exclude_record=exclude_record,
-        )
-        if self._union is not None and self._union is not batch:
-            self._union.merge_in(batch)
-        self._dirty = True
-
     def _ingest_columnar(
         self,
         batch: ElementBatch,
         exclude_record: frozenset[str] = frozenset(),
+        elements: PropertyGraph | None = None,
     ) -> None:
-        """Steps (b)-(d) for one columnar batch (zero-copy fast path).
+        """Ingest one batch: steps (b)-(d), then union and state upkeep.
 
         When the session retains a union graph (deletions enabled), the
-        batch is additionally materialised element-wise into the union --
-        deletions stay element-wise by design, so the fast path only
-        skips materialisation entirely on insert-only streaming sessions.
+        batch also joins the union element-wise -- from ``elements`` when
+        the caller converted element input (an adopted union is already
+        complete and is left alone), otherwise by materialising the
+        batch.  Insert-only streaming sessions never materialise.
         """
         # The signature store keys refcounts by interner-local signature
         # ids; re-point it at the batch's interner (grow-only lineage, so
         # ids from earlier batches stay valid) before the pipeline
         # classifies and counts this batch's rows.
-        signatures = self._dstate.signatures
-        signatures.interner = batch.interner
+        self._dstate.signatures.interner = batch.interner
+        self._discover_batch(batch, exclude_record)
+        if self._union is not None and elements is not self._union:
+            if elements is None:
+                # repro-lint: ignore[PGL301] -- deletions and union re-scans need the element union; only union-retaining sessions reach this line
+                elements = batch.to_property_graph(
+                    f"{self.schema_name}-change{self._sequence}"
+                )
+            self._union.merge_in(elements)
+        # Adopting the batch's interner per change-set is safe here: no
+        # session state stores interner-local ids across batches (schema,
+        # accumulators, and signature caches are content-keyed), and
+        # checkpoints persist a content-only snapshot.  Sharded workers
+        # rely on this -- each pickled change-set arrives with its own
+        # interner copy.
+        self._dstate.interner = batch.interner
+        self._dirty = True
+
+    def _discover_batch(
+        self, batch: ElementBatch, exclude_record: frozenset[str]
+    ) -> None:
+        """Steps (b)-(d) for one batch, merging into the schema."""
         self._pipeline._process_batch_columnar(
             batch,
             self._schema,
@@ -461,23 +460,8 @@ class SchemaSession:
                 pair_cap=self.config.key_pair_tracking_cap,
             ),
             exclude_record=exclude_record,
-            signatures=signatures,
+            signatures=self._dstate.signatures,
         )
-        if self._union is not None:
-            self._union.merge_in(
-                # repro-lint: ignore[PGL301] -- union retention is an opt-in element-wise feature; the columnar fast path skips this branch entirely
-                batch.to_property_graph(
-                    f"{self.schema_name}-change{self._sequence}"
-                )
-            )
-        # Adopting the batch's interner per change-set is safe here: no
-        # session state stores interner-local ids across batches (schema,
-        # accumulators, and signature caches are content-keyed), and
-        # checkpoints persist a content-only snapshot.  Sharded workers
-        # rely on this -- each pickled change-set arrives with its own
-        # interner copy.
-        self._dstate.interner = batch.interner
-        self._dirty = True
 
     def _adopt_union(self, graph: PropertyGraph) -> None:
         """Adopt ``graph`` as the union by reference (no element copies).
@@ -494,26 +478,35 @@ class SchemaSession:
             )
         self._union = graph
 
-    def _insert_graph(self, change_set: ChangeSet) -> PropertyGraph | None:
-        """Materialise the change-set's inserts as a well-formed batch.
+    def _insert_graph(
+        self, change_set: ChangeSet
+    ) -> tuple[PropertyGraph, frozenset[str]]:
+        """The change-set's element inserts as a well-formed batch graph.
 
         Edges whose endpoints are not in the change-set resolve against the
-        retained union graph, then an attached store; an unresolvable
-        endpoint is an error, matching the batch-stream convention that
-        every fragment ships endpoint stubs.
+        retained union graph, then an attached store; the resolved ids are
+        returned alongside.  An unresolvable endpoint is an error, matching
+        the batch-stream convention that every fragment ships endpoint
+        stubs.
         """
-        if not change_set.has_inserts:
-            return None
         batch = PropertyGraph(f"{self.schema_name}-change{self._sequence + 1}")
+        resolved: set[str] = set()
         for node in change_set.nodes:
             batch.put_node(node)
         for edge in change_set.edges:
             for endpoint_id in edge.endpoints():
                 if not batch.has_node(endpoint_id):
                     batch.add_node(self._resolve_endpoint(endpoint_id, edge))
+                    resolved.add(endpoint_id)
             if not batch.has_edge(edge.edge_id):
                 batch.add_edge(edge)
-        return batch
+        return batch, frozenset(resolved)
+
+    def _records_node(self, node_id: str) -> bool:
+        return any(
+            node_id in node_type.instance_ids
+            for node_type in self._schema.node_types()
+        )
 
     def _resolve_endpoint(self, node_id: str, edge) -> Node:
         if self._union is not None and self._union.has_node(node_id):
@@ -611,10 +604,8 @@ class SchemaSession:
         union (defensive; incident edges detach before their endpoints).
         """
         interner = self._dstate.signatures.interner
-        labelset_id = interner.intern_labels(element.labels)
-        keyset_id = interner.intern_keys(element.properties)
-        keys = interner.keyset(keyset_id).keys
-        shape = value_shapes(tuple(element.properties[key] for key in keys))
+        labelset_id, keyset_id, values = interner.element_record(element)
+        shape = value_shapes(values)
         if not is_edge:
             return interner.intern_element_signature(
                 labelset_id, keyset_id, shape

@@ -81,10 +81,12 @@ from repro.core.state import DiscoveryState
 from repro.errors import (
     CheckpointCorruptError,
     ConfigurationError,
+    DanglingEdgeError,
     DegradedModeWarning,
 )
 from repro.graph.changes import ChangeSet, HashPartitioner
 from repro.graph.columnar import (
+    BatchBuilder,
     Interner,
     SignatureStore,
     global_interner,
@@ -150,58 +152,6 @@ class ShardFaultEvent:
 # worker process is exactly one session per shard.
 # ----------------------------------------------------------------------
 _WORKER_SESSION: SchemaSession | None = None
-
-
-# ----------------------------------------------------------------------
-# Registry entries: legacy feeds register :class:`Node` objects, columnar
-# feeds register compact ``(labelset_id, keyset_id, values)`` records.
-# The two views below decode whichever is stored into whatever the
-# active partition path needs, so mixed feeds stay correct.
-# ----------------------------------------------------------------------
-def _entry_to_node(node_id: str, entry, interner: Interner) -> Node:
-    if isinstance(entry, Node):
-        return entry
-    labelset_id, keyset_id, values = entry
-    keys = interner.keyset(keyset_id).keys
-    return Node(
-        node_id,
-        interner.labelset(labelset_id).labels,
-        dict(zip(keys, values)),
-    )
-
-
-def _entry_to_record(entry, interner: Interner):
-    if not isinstance(entry, Node):
-        return entry
-    labelset_id = interner.intern_labels(entry.labels)
-    keyset_id = interner.intern_keys(entry.properties)
-    keys = interner.keyset(keyset_id).keys
-    return (
-        labelset_id,
-        keyset_id,
-        tuple(entry.properties[key] for key in keys),
-    )
-
-
-class _RegistryView:
-    """Read-only registry adapter decoding entries for one partition path."""
-
-    __slots__ = ("_registry", "_interner", "_as_record")
-
-    def __init__(
-        self, registry: dict, interner: Interner, as_record: bool
-    ) -> None:
-        self._registry = registry
-        self._interner = interner
-        self._as_record = as_record
-
-    def get(self, node_id: str):
-        entry = self._registry.get(node_id)
-        if entry is None:
-            return None
-        if self._as_record:
-            return _entry_to_record(entry, self._interner)
-        return _entry_to_node(node_id, entry, self._interner)
 
 
 def _worker_init(config, schema_name, retain_union, streaming, track_keys):
@@ -384,10 +334,9 @@ class ShardedSchemaSession:
         self._shard_config = replace(self.config, post_process_each_batch=False)
         self._partitioner = HashPartitioner(self.n_shards)
         #: first-inserted version of every live node, for stub routing
-        #: (mirrors the union graph's first-version-wins semantics).
-        #: Values are :class:`Node` objects (legacy feeds) or compact
-        #: columnar records (columnar feeds); see ``_RegistryView``.
-        self._registry: dict[str, object] = {}
+        #: (mirrors the union graph's first-version-wins semantics), as
+        #: compact ``(labelset_id, keyset_id, values)`` records.
+        self._registry: dict[str, tuple[int, int, tuple]] = {}
         #: the single interner every columnar change-set of this session
         #: must share: registry records store interner-local ids, so a
         #: batch built against a different interner would silently decode
@@ -526,10 +475,11 @@ class ShardedSchemaSession:
     def apply(self, change_set: ChangeSet) -> ShardedChangeReport:
         """Partition one change-set and apply the parts to their shards.
 
-        Columnar change-sets partition over the batch's id column and the
-        per-shard sub-change-sets stay columnar, so every shard ingests
-        through the zero-copy path; the node registry then stores compact
-        records instead of :class:`Node` objects.
+        Element inserts are converted to one columnar batch on the pinned
+        interner first (see :meth:`_columnar_inserts`); every change-set
+        then partitions over the batch's id column and the per-shard
+        sub-change-sets stay columnar, so every shard ingests through the
+        same pipeline and the node registry stores compact records.
         """
         prepared = self._prepare(change_set)
         start = time.perf_counter()  # repro-lint: ignore[PGL102] -- dispatch wall-clock goes into the batch report only, never into state
@@ -554,6 +504,14 @@ class ShardedSchemaSession:
                 "deletions require retained union graphs: construct the "
                 "sharded session with PGHiveConfig(retain_union=True)"
             )
+        if change_set.columnar is not None:
+            if change_set.nodes or change_set.edges:
+                raise ConfigurationError(
+                    "a change-set carries either element-wise or columnar "
+                    "inserts, not both"
+                )
+        elif change_set.has_inserts:
+            change_set = self._columnar_inserts(change_set)
         interner_before = self._interner
         pinned_before = self._interner_pinned
         seeded: list[str] = []
@@ -561,11 +519,6 @@ class ShardedSchemaSession:
         columnar = change_set.columnar
         batch_records: dict[str, tuple[int, int, tuple]] = {}
         if columnar is not None:
-            if change_set.nodes or change_set.edges:
-                raise ConfigurationError(
-                    "a change-set carries either element-wise or columnar "
-                    "inserts, not both"
-                )
             if columnar.interner is not self._interner:
                 if self._interner_pinned:
                     raise ConfigurationError(
@@ -599,18 +552,8 @@ class ShardedSchemaSession:
             nodes_inserted = columnar.node_count
             edges_inserted = columnar.edge_count
         else:
-            for node in change_set.nodes:
-                if node.node_id not in self._registry:
-                    self._registry[node.node_id] = node
-                    seeded.append(node.node_id)
-                    signature_id = self._record_signature(
-                        _entry_to_record(node, self._interner)
-                    )
-                    self._signatures.add(signature_id)
-                    seeded_signatures.append(signature_id)
-            inserted_node_ids = {n.node_id for n in change_set.nodes}
-            nodes_inserted = len(change_set.nodes)
-            edges_inserted = len(change_set.edges)
+            inserted_node_ids = set()
+            nodes_inserted = edges_inserted = 0
         prepared = _PreparedChange(
             change_set=change_set,
             parts={},
@@ -628,22 +571,12 @@ class ShardedSchemaSession:
             pinned_before=pinned_before,
         )
         try:
-            if columnar is not None:
-                prepared.parts = partition_columnar(
-                    self._partitioner,
-                    change_set,
-                    _RegistryView(
-                        self._registry, self._interner, as_record=True
-                    ),
-                    record_cache=batch_records,
-                )
-            else:
-                prepared.parts = self._partitioner.partition(
-                    change_set,
-                    _RegistryView(
-                        self._registry, self._interner, as_record=False
-                    ),
-                )
+            prepared.parts = partition_columnar(
+                self._partitioner,
+                change_set,
+                self._registry,
+                record_cache=batch_records,
+            )
         except Exception:
             self._rollback(prepared)
             raise
@@ -680,9 +613,7 @@ class ShardedSchemaSession:
         """
         for node_id in prepared.deleted_nodes:
             self._signatures.remove(
-                self._record_signature(
-                    _entry_to_record(self._registry[node_id], self._interner)
-                )
+                self._record_signature(self._registry[node_id])
             )
             del self._registry[node_id]
         self._sequence += 1
@@ -714,6 +645,40 @@ class ShardedSchemaSession:
     def add_batch(self, batch: PropertyGraph) -> ShardedChangeReport:
         """Sugar: apply one insert-only property-graph batch."""
         return self.apply(ChangeSet.from_graph(batch))
+
+    def _columnar_inserts(self, change_set: ChangeSet) -> ChangeSet:
+        """Element inserts as one columnar change-set on the pinned interner.
+
+        Edge endpoints the change-set does not ship resolve from the node
+        registry and travel as stub rows, like the cross-batch stubs of
+        the columnar readers; an unknown endpoint is rejected before any
+        coordinator state is touched.
+        """
+        builder = BatchBuilder(self._interner)
+        for node in change_set.nodes:
+            builder.put_node_element(node)
+        stubs = set(change_set.stub_node_ids)
+        for edge in change_set.edges:
+            for endpoint_id in edge.endpoints():
+                if builder.has_node(endpoint_id):
+                    continue
+                record = self._registry.get(endpoint_id)
+                if record is None:
+                    raise DanglingEdgeError(
+                        f"change-set edge {edge.edge_id!r} references node "
+                        f"{endpoint_id!r}, which is neither in the "
+                        "change-set nor registered by an earlier one"
+                    )
+                builder.add_node(endpoint_id, *record)
+                stubs.add(endpoint_id)
+            builder.add_edge_element(edge)
+        return replace(
+            change_set,
+            nodes=[],
+            edges=[],
+            stub_node_ids=frozenset(stubs),
+            columnar=builder.freeze(),
+        )
 
     def _record_signature(self, record: tuple[int, int, tuple]) -> int:
         """The structural-signature id of one compact node record."""
@@ -1242,14 +1207,10 @@ class ShardedSchemaSession:
             # survive a restore in a fresh process.
             "registry": {
                 node_id: (
-                    entry
-                    if isinstance(entry, Node)
-                    else (
-                        "columnar",
-                        sorted(self._interner.labelset(entry[0]).labels),
-                        self._interner.keyset(entry[1]).keys,
-                        entry[2],
-                    )
+                    "columnar",
+                    sorted(self._interner.labelset(entry[0]).labels),
+                    self._interner.keyset(entry[1]).keys,
+                    entry[2],
                 )
                 for node_id, entry in self._registry.items()
             },
@@ -1302,10 +1263,11 @@ class ShardedSchemaSession:
         )
         session._sequence = payload["sequence"]
         interner = global_interner()
-        registry: dict[str, object] = {}
+        registry: dict[str, tuple[int, int, tuple]] = {}
         for node_id, entry in payload["registry"].items():
             if isinstance(entry, Node):
-                registry[node_id] = entry
+                # Manifests written before the registry held records only.
+                registry[node_id] = interner.element_record(entry)
             else:
                 _, labels, keys, values = entry
                 labelset_id = interner.intern_labels(labels)
@@ -1320,9 +1282,7 @@ class ShardedSchemaSession:
         )
         # Restored records were re-interned against the process-wide
         # interner; later columnar batches must share it.
-        session._interner_pinned = any(
-            not isinstance(entry, Node) for entry in registry.values()
-        )
+        session._interner_pinned = bool(registry)
         shard_paths = [directory / name for name in payload["shard_files"]]
         if session.parallel:
             pools = session._ensure_pools()

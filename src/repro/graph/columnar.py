@@ -1,10 +1,10 @@
 """Columnar zero-copy ingestion core: :class:`ElementBatch` + interning.
 
-The element-wise hot path materialises every node/edge as a Python
-dataclass and re-walks its property dict in four layers (type extraction,
-preprocessing, MinHash token sets, accumulators).  Incremental-view-
-maintenance systems avoid exactly this by keeping deltas in flat columnar
-relations (Szárnyas et al.), and PG-Schema's label/property-set formalism
+Every discovery input reaches the pipeline as an :class:`ElementBatch`.
+Materialising each node/edge as a Python dataclass would re-walk its
+property dict in four layers (type extraction, preprocessing, MinHash
+token sets, accumulators); incremental-view-maintenance systems avoid
+exactly this by keeping deltas in flat columnar relations (Szárnyas et al.), and PG-Schema's label/property-set formalism
 makes the schema-relevant content of an element fully internable: a
 label-set id, a property-key-set id, and typed value columns.
 
@@ -18,14 +18,15 @@ This module provides that representation:
   Label sets are interned by the *set* (not the joined token string):
   two distinct sets whose tokens collide -- ``{"A+B"}`` vs ``{"A","B"}``
   -- keep distinct ids while sharing embedding/LSH behaviour, exactly as
-  element-wise discovery treats them.
+  the paper's element-wise formulation treats them.
 * :class:`ElementBatch` -- one change-feed batch as contiguous columns:
   element ids, interned label-set ids, interned key-set ids, per-key
   value columns (``rows`` index array + object values), and, for edges,
   endpoint ids and endpoint label-token string ids.
   ``from_elements``/``to_elements`` convert to and from the dataclass
-  world (the element-wise oracle); :class:`BatchBuilder` appends raw rows
-  so file readers ingest without ever instantiating a ``Node``/``Edge``.
+  world (element input at the session boundary, the union graph);
+  :class:`BatchBuilder` appends raw rows so file readers ingest without
+  ever instantiating a ``Node``/``Edge``.
 * :func:`columnar_changesets_from_rows` -- the columnar analogue of
   :func:`repro.graph.changes.changesets_from_elements`: groups a raw row
   stream into endpoint-complete insert :class:`ChangeSet`\\ s whose
@@ -33,8 +34,9 @@ This module provides that representation:
   ``stub_node_ids``), holding one compact record per distinct node id in
   memory instead of one dataclass.
 * :func:`partition_columnar` -- the sharded-session partitioning step
-  over the id column (stable blake2b routing, stub rows shipped across
-  shards), mirroring :meth:`repro.graph.changes.HashPartitioner.partition`.
+  over the id column (stable blake2b routing through
+  :class:`repro.graph.changes.HashPartitioner`, stub rows shipped across
+  shards).
 
 The interner is process-wide state exactly like the MinHash token-id
 cache: ids are assigned in first-intern order and are therefore *not*
@@ -276,6 +278,15 @@ class Interner:
     def keyset(self, kid: int) -> KeySet:
         """The :class:`KeySet` behind ``kid``."""
         return self._keysets[kid]
+
+    def element_record(self, element) -> tuple[int, int, tuple]:
+        """Compact ``(labelset_id, keyset_id, values)`` of a node or edge;
+        ``values`` align with the key set's sorted ``keys``."""
+        labelset_id = self.intern_labels(element.labels)
+        keyset_id = self.intern_keys(element.properties)
+        properties = element.properties
+        values = tuple(properties[key] for key in self._keysets[keyset_id].keys)
+        return labelset_id, keyset_id, values
 
     # ------------------------------------------------------------------
     # LSH structural patterns
@@ -610,10 +621,11 @@ class SignatureStore:
     def remove(self, signature_id: int, n: int = 1) -> int:
         """Decrement by ``n``, dropping the entry at zero.
 
-        Tolerates decrements of unseen signatures (mixed element-wise /
-        columnar feeds count only columnar inserts): the count floors at
-        zero rather than going negative, which is always safe because a
-        missing entry merely demotes future rows to the full pipeline.
+        Every recorded insert is counted and every recorded delete
+        decrements, so counts never go below zero in normal operation;
+        the floor at zero is a safety check, not a code path.  It is
+        always safe: a missing entry merely demotes future rows to the
+        full pipeline.
         """
         updated = self.refcounts.get(signature_id, 0) - n
         if updated > 0:
@@ -866,7 +878,7 @@ class ElementBatch:
         return f"ElementBatch(nodes={self.node_count}, edges={self.edge_count})"
 
     # ------------------------------------------------------------------
-    # Converters (the element-wise oracle boundary)
+    # Converters (the element-input boundary)
     # ------------------------------------------------------------------
     @classmethod
     def from_elements(
@@ -1039,28 +1051,20 @@ class BatchBuilder:
         """Append one edge row; endpoints must be appended before freeze.
 
         Duplicate edge ids keep the first row (deduplicated at freeze),
-        matching how the element-wise session materialises a batch.
+        matching how the session materialises an element change-set.
         """
         self._edges.append(
             (edge_id, source_id, target_id, labelset_id, keyset_id, values)
         )
 
     # Convenience adapters from the dataclass world ---------------------
-    def _intern_element(self, element) -> tuple[int, int, tuple]:
-        interner = self.interner
-        labelset_id = interner.intern_labels(element.labels)
-        keyset_id = interner.intern_keys(element.properties)
-        keys = interner.keyset(keyset_id).keys
-        values = tuple(element.properties[key] for key in keys)
-        return labelset_id, keyset_id, values
-
     def put_node_element(self, node: Node) -> None:
         """Append/replace a node row from a :class:`Node`."""
-        self.put_node(node.node_id, *self._intern_element(node))
+        self.put_node(node.node_id, *self.interner.element_record(node))
 
     def add_edge_element(self, edge: Edge) -> None:
         """Append an edge row from an :class:`Edge`."""
-        labelset_id, keyset_id, values = self._intern_element(edge)
+        labelset_id, keyset_id, values = self.interner.element_record(edge)
         self.add_edge(
             edge.edge_id,
             edge.source_id,
@@ -1355,18 +1359,25 @@ def partition_columnar(
 ) -> dict[int, ChangeSet]:
     """Split a columnar change-set into per-shard columnar change-sets.
 
-    The columnar analogue of
-    :meth:`repro.graph.changes.HashPartitioner.partition`: node rows
-    route by ``stable_shard(node_id)``, edge rows by their edge id, and
-    cross-shard endpoints travel as stub rows (taken from the batch
-    itself or from ``node_lookup``, the sharded session's compact node
-    registry), marked in ``stub_node_ids``.  Node deletions broadcast,
-    edge deletions route to the owner shard.  ``record_cache`` may carry
+    Node rows route by ``partitioner.shard_of(node_id)``, edge rows by
+    their edge id, and cross-shard endpoints travel as stub rows (taken
+    from the batch itself or from ``node_lookup``, the sharded session's
+    compact node registry), marked in ``stub_node_ids``.  Node deletions
+    broadcast, edge deletions route to the owner shard.  ``record_cache`` may carry
     pre-built compact records for this batch's node ids (the sharded
     session builds them for its registry anyway); missing entries are
-    materialised on demand.
+    materialised on demand.  Element inserts must be converted first
+    (the sharded session does it at its boundary, on its pinned
+    interner).
     """
+    if change_set.nodes or change_set.edges:
+        raise ConfigurationError(
+            "partition_columnar partitions columnar change-sets; convert "
+            "element inserts with ElementBatch.from_elements first"
+        )
     batch = change_set.columnar
+    if batch is None:  # deletion-only change-set
+        batch = ElementBatch(_empty_block("nodes"), _empty_block("edges"), _GLOBAL)
     shard_of = partitioner.shard_of
     builders: dict[int, BatchBuilder] = {}
     stubs: dict[int, set[str]] = {}

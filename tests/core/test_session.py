@@ -8,6 +8,7 @@ from repro.core.session import DiffEvent, SchemaSession
 from repro.errors import ConfigurationError, DanglingEdgeError
 from repro.graph.batching import split_into_batches
 from repro.graph.changes import ChangeSet
+from repro.graph.columnar import ElementBatch
 from repro.graph.model import Edge, Node, PropertyGraph
 from repro.graph.store import GraphStore
 from repro.schema.model import schema_fingerprint
@@ -191,6 +192,33 @@ class TestDeletions:
         assert "eve" in person.instance_ids
         assert "john" not in person.instance_ids
 
+    def test_signature_refcounts_track_mixed_feeds(self):
+        # Element and columnar inserts count their structural signatures
+        # alike, so deleting either kind leaves the refcounts equal to
+        # the live recorded instances.
+        session = SchemaSession(PGHiveConfig(seed=0), retain_union=True)
+
+        def people(start):
+            return [
+                Node(f"p{i}", {"Person"}, {"name": f"n{i}"})
+                for i in range(start, start + 5)
+            ]
+
+        def check():
+            refcounts = session.discovery_state.signatures.refcounts
+            live = sum(t.instance_count for t in session.schema().node_types())
+            assert sum(refcounts.values()) == live
+
+        session.apply(ChangeSet.inserts(nodes=people(0)))
+        session.apply(
+            ChangeSet.inserts_columnar(ElementBatch.from_elements(people(5)))
+        )
+        check()
+        session.apply(ChangeSet.deletions(nodes=[f"p{i}" for i in range(5)]))
+        check()
+        session.apply(ChangeSet.deletions(nodes=["p5", "p6"]))
+        check()
+
 
 class TestEndpointResolution:
     def test_unresolvable_endpoint_raises(self):
@@ -224,6 +252,30 @@ class TestEndpointResolution:
         )
         likes = session.schema().edge_type_by_token("LIKES")
         assert "e8" in likes.instance_ids
+
+    def test_unrecorded_store_endpoints_are_recorded(self, figure1_graph):
+        # A pre-loaded store attached without replay: its nodes reach the
+        # session only as endpoints of forwarded edges, and must then be
+        # recorded (and counted) like shipped nodes -- exactly once.
+        session = SchemaSession(PGHiveConfig(seed=0), retain_union=True)
+        store = GraphStore(figure1_graph)
+        store.attach(session)
+        store.add_edge(Edge("e8", "bob", "post2", frozenset({"LIKES"})))
+        store.add_edge(Edge("e9", "bob", "post2", frozenset({"KNOWS"})))
+        schema = session.schema()
+        assert "bob" in schema.node_type_by_token("Person").instance_ids
+        assert "post2" in schema.node_type_by_token("Post").instance_ids
+
+        def check():
+            refcounts = session.discovery_state.signatures.refcounts
+            live = sum(t.instance_count for t in session.schema().node_types())
+            live += sum(t.instance_count for t in session.schema().edge_types())
+            assert sum(refcounts.values()) == live
+
+        check()
+        assert sum(t.instance_count for t in schema.node_types()) == 2
+        session.apply(ChangeSet.deletions(nodes=["bob"]))
+        check()
 
 
 class TestStoreAttachment:

@@ -8,6 +8,7 @@ from repro.core.session import SchemaSession
 from repro.core.sharding import ShardedSchemaSession
 from repro.errors import CheckpointError, ConfigurationError, DanglingEdgeError
 from repro.graph.changes import ChangeSet, HashPartitioner, stable_shard
+from repro.graph.columnar import ElementBatch, partition_columnar
 from repro.graph.model import Edge, Node, PropertyGraph
 from repro.schema.model import schema_fingerprint
 
@@ -53,6 +54,12 @@ def feed(change_set_count: int = 5, nodes_per_set: int = 4):
     return change_sets
 
 
+def columnar(change_set: ChangeSet) -> ChangeSet:
+    return ChangeSet.inserts_columnar(
+        ElementBatch.from_elements(change_set.nodes, change_set.edges)
+    )
+
+
 class TestStableShard:
     def test_deterministic_and_in_range(self):
         for n_shards in (1, 2, 5):
@@ -73,45 +80,56 @@ class TestHashPartitioner:
     def test_every_element_lands_on_exactly_one_shard(self):
         partitioner = HashPartitioner(4)
         change_set = feed(1, 8)[0]
-        parts = partitioner.partition(change_set)
+        parts = partition_columnar(partitioner, columnar(change_set))
         fresh_nodes = [
             node.node_id
             for part in parts.values()
-            for node in part.nodes
+            for node in part.columnar.to_elements()[0]
             if node.node_id not in part.stub_node_ids
         ]
-        edges = [e.edge_id for part in parts.values() for e in part.edges]
+        edges = [
+            e.edge_id
+            for part in parts.values()
+            for e in part.columnar.to_elements()[1]
+        ]
         assert sorted(fresh_nodes) == sorted(n.node_id for n in change_set.nodes)
         assert sorted(edges) == sorted(e.edge_id for e in change_set.edges)
 
     def test_cross_shard_edges_ship_marked_stubs(self):
         partitioner = HashPartitioner(3)
         change_set = feed(1, 9)[0]
-        parts = partitioner.partition(change_set)
+        parts = partition_columnar(partitioner, columnar(change_set))
         for index, part in parts.items():
-            shipped = {node.node_id for node in part.nodes}
-            for edge in part.edges:
+            nodes, edges = part.columnar.to_elements()
+            shipped = {node.node_id for node in nodes}
+            for edge in edges:
                 assert set(edge.endpoints()) <= shipped
             for stub_id in part.stub_node_ids:
                 # A stub is a node owned by a different shard.
                 assert partitioner.shard_of(stub_id) != index
 
     def test_stub_resolution_uses_node_lookup(self):
-        partitioner = HashPartitioner(2)
+        # Element inserts convert at the sharded session's boundary:
+        # endpoints resolve from its node registry and ship as stubs.
+        session = ShardedSchemaSession(n_shards=2)
         older = labelled_node(0)
+        session.apply(ChangeSet.inserts(nodes=[older]))
         edge = Edge("r0", older.node_id, older.node_id, {"R"})
-        parts = partitioner.partition(
-            ChangeSet.inserts(edges=[edge]), {older.node_id: older}
-        )
-        (part,) = parts.values()
-        assert part.stub_node_ids == {older.node_id}
+        converted = session._columnar_inserts(ChangeSet.inserts(edges=[edge]))
+        assert converted.stub_node_ids == {older.node_id}
+        assert session.apply(ChangeSet.inserts(edges=[edge])).nodes_inserted == 0
+        dangling = Edge("r1", older.node_id, "ghost", {"R"})
         with pytest.raises(DanglingEdgeError):
-            partitioner.partition(ChangeSet.inserts(edges=[edge]), {})
+            session.apply(ChangeSet.inserts(edges=[dangling]))
+        with pytest.raises(ConfigurationError):
+            partition_columnar(
+                HashPartitioner(2), ChangeSet.inserts(edges=[edge]), {}
+            )
 
     def test_node_deletions_broadcast_edge_deletions_route(self):
         partitioner = HashPartitioner(3)
-        parts = partitioner.partition(
-            ChangeSet.deletions(nodes=["v1"], edges=["r1"])
+        parts = partition_columnar(
+            partitioner, ChangeSet.deletions(nodes=["v1"], edges=["r1"])
         )
         with_node_delete = [i for i, p in parts.items() if p.delete_nodes]
         with_edge_delete = [i for i, p in parts.items() if p.delete_edges]

@@ -216,11 +216,11 @@ class TestUnionRetention:
         from repro.core.cardinality_inference import (
             compute_cardinalities_streaming,
         )
-        from repro.core.clustering import Cluster
         from repro.core.type_extraction import extract_types
         from repro.schema.model import SchemaGraph
+        from tests.reference import ReferenceCluster
 
-        cluster = Cluster(
+        cluster = ReferenceCluster(
             member_ids=["e1", "e2"],
             labels={"REL"},
             property_keys={"w"},

@@ -1,17 +1,17 @@
 """Unit tests for Algorithm 2 (type extraction and merging)."""
 
-from repro.core.clustering import Cluster
 from repro.core.type_extraction import (
     extract_edge_types,
     extract_node_types,
     extract_types,
 )
 from repro.schema.model import SchemaGraph
+from tests.reference import ReferenceCluster
 
 
 def node_cluster(member_ids, labels=(), keys=()):
     keys = frozenset(keys)
-    return Cluster(
+    return ReferenceCluster(
         member_ids=list(member_ids),
         labels=set(labels),
         property_keys=set(keys),
@@ -21,7 +21,7 @@ def node_cluster(member_ids, labels=(), keys=()):
 
 def edge_cluster(member_ids, labels=(), keys=(), sources=(), targets=()):
     keys = frozenset(keys)
-    return Cluster(
+    return ReferenceCluster(
         member_ids=list(member_ids),
         labels=set(labels),
         property_keys=set(keys),

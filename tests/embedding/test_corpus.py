@@ -1,7 +1,12 @@
 """Unit tests for the label-corpus builder."""
 
-from repro.embedding.corpus import build_label_corpus
+from repro.embedding.corpus import build_label_corpus_columnar
+from repro.graph.columnar import ElementBatch
 from repro.graph.model import Edge, Node, PropertyGraph
+
+
+def build_label_corpus(graph: PropertyGraph, **options) -> list[list[str]]:
+    return build_label_corpus_columnar(ElementBatch.from_graph(graph), **options)
 
 
 class TestBuildLabelCorpus:

@@ -1,13 +1,15 @@
-"""Property-based equivalence: columnar ingest vs the element-wise oracle.
+"""Property-based equivalence: columnar ingest vs the element-wise reference.
 
-The columnar fast path must be schema-fingerprint-identical to classic
-element-wise ingestion for every feed: same clusters, same types, same
-specs, datatypes, cardinalities, and candidate keys.  These tests drive
-interleaved insert/delete scripts through two sessions -- one fed
-:class:`ChangeSet` element inserts, one fed the same content as
-:class:`ElementBatch` payloads -- and compare fingerprints after every
-applied change-set, for both LSH families.  Round-trip and interner
-persistence tests pin the converter boundary and the checkpoint story.
+The columnar pipeline must be schema-fingerprint-identical to the
+element-wise reference of steps (b)-(d) (``tests/reference.py``) for
+every feed: same clusters, same types, same specs, datatypes,
+cardinalities, and candidate keys.  These tests drive interleaved
+insert/delete scripts through two sessions -- a reference session fed
+:class:`ChangeSet` element inserts, a :class:`SchemaSession` fed the same
+content as :class:`ElementBatch` payloads -- and compare fingerprints
+after every applied change-set, for both LSH families.  Round-trip and
+interner persistence tests pin the converter boundary and the checkpoint
+story.
 """
 
 import numpy as np
@@ -22,6 +24,7 @@ from repro.graph.changes import ChangeSet
 from repro.graph.columnar import ElementBatch, Interner
 from repro.graph.model import Edge, Node, PropertyGraph
 from repro.schema.model import schema_fingerprint
+from tests.reference import ReferenceSession
 
 LABELS = ["Person", "Org", ""]
 KEYS = ["name", "age", "score", "flag"]
@@ -67,7 +70,7 @@ def interpret(ops):
     Mirrors the batch-stream convention every reader follows: an edge
     referencing a node from an earlier change-set ships a stub copy of
     it, marked in ``stub_node_ids``, so identical change-sets feed both
-    the element-wise and the columnar session.
+    the reference and the columnar session.
     """
     inserted_edges: list[str] = []
     live: dict[str, Node] = {}
@@ -132,8 +135,8 @@ def interpret(ops):
 
 
 def run_oracle(resolved, config):
-    """Drive element-wise and columnar sessions; compare every snapshot."""
-    element = SchemaSession(config, schema_name="oracle", retain_union=True)
+    """Drive reference and columnar sessions; compare every snapshot."""
+    element = ReferenceSession(config, schema_name="oracle", retain_union=True)
     columnar = SchemaSession(config, schema_name="oracle", retain_union=True)
     for op in resolved:
         if op[0] == "insert":

@@ -18,13 +18,17 @@ with dedup refcounts are pinned separately in the sharding suite.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.core.pipeline as pipeline_module
 from repro.core.config import ClusteringMethod, PGHiveConfig
 from repro.core.recovery import DurableSchemaSession
 from repro.core.session import SchemaSession
 from repro.core.sharding import ShardedSchemaSession
-from repro.graph.changes import ChangeSet
+from repro.datasets import load_dataset
+from repro.datasets.noise import apply_noise
+from repro.graph.changes import ChangeSet, changesets_from_elements
 from repro.graph.columnar import BatchBuilder, global_interner
 from repro.schema.model import schema_fingerprint
+from tests.reference import ReferenceSession
 
 SHARD_COUNTS = (1, 2, 4)
 
@@ -188,6 +192,58 @@ class TestDedupMatchesNoDedup:
         # Both sessions maintain refcounts (the store also serves WAL
         # compaction); the split being on or off must not change them.
         assert refcounts == off._dstate.signatures.refcounts
+
+
+class TestDedupKeepsAdaptiveParameters:
+    def test_noisy_unlabeled_element_stream(self, monkeypatch):
+        """Pinned: repeat rows still count towards the adaptive parameters.
+
+        A noisy, label-free element feed of 300 rows per change-set is
+        mostly repeats after the first change-set, and its MinHash
+        buckets hold several structures each.  Leaving the repeats out
+        of ``adapt_parameters`` (N, L and ``mu``) or out of the LSH
+        partition moves T and regroups batch-new rows; dedup on must
+        instead match dedup off -- parameters after every change-set,
+        and the final schema -- and the schema must match the reference.
+        """
+        repeat_clusters = []
+        cluster = pipeline_module.cluster_features_columnar
+
+        def spy(*args, **kwargs):
+            outcome = cluster(*args, **kwargs)
+            repeat_clusters.extend(
+                c for c in outcome.clusters if c.repeat_signature is not None
+            )
+            return outcome
+
+        monkeypatch.setattr(pipeline_module, "cluster_features_columnar", spy)
+        dataset = load_dataset("LDBC", nodes=800, seed=2)
+        graph = apply_noise(
+            dataset, property_noise=0.1, label_availability=0.0, seed=3
+        ).graph
+        feed = list(
+            changesets_from_elements(
+                list(graph.nodes()) + list(graph.edges()), batch_size=300
+            )
+        )
+        sessions = {
+            "on": SchemaSession(_config(True)),
+            "off": SchemaSession(_config(False)),
+            "reference": ReferenceSession(_config(False)),
+        }
+        for change_set in feed:
+            for session in sessions.values():
+                session.apply(change_set)
+            on, off = sessions["on"]._result, sessions["off"]._result
+            assert on.node_parameters == off.node_parameters
+            assert on.edge_parameters == off.edge_parameters
+        assert repeat_clusters, "the dedup fast path never engaged"
+        fingerprints = {
+            name: schema_fingerprint(session.schema())
+            for name, session in sessions.items()
+        }
+        assert fingerprints["on"] == fingerprints["off"]
+        assert fingerprints["off"] == fingerprints["reference"]
 
 
 class TestDedupSurvivesRecovery:
