@@ -1,13 +1,13 @@
 """Per-batch post-processing cost: streaming accumulators vs union re-scan.
 
-Drives N insert batches through :class:`IncrementalSchemaDiscovery` with
+Drives N insert batches through a session with
 ``post_process_each_batch=True`` in two modes:
 
-* ``streaming`` -- the default engine: no union graph, post-processing
-  reads the per-type accumulators (O(|schema|) per batch);
-* ``union-rescan`` -- the pre-accumulator oracle (``retain_union=True,
-  streaming_postprocess=False``): every batch re-scans the cumulative
-  union graph, so per-batch post-processing cost grows with batch index.
+* ``streaming`` -- the default :class:`SchemaSession`: no union graph,
+  post-processing reads the per-type accumulators (O(|schema|) per batch);
+* ``union-rescan`` -- the full-scan oracle of ``tests/reference.py``
+  (:class:`FullScanSession`): every batch re-scans the cumulative union
+  graph, so per-batch post-processing cost grows with batch index.
 
 Reports per-batch latency, per-batch post-processing time, peak traced
 heap per mode (tracemalloc) plus process ``ru_maxrss``, and emits the
@@ -33,9 +33,12 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from tests.reference import FullScanSession
 
 from repro.core.config import PGHiveConfig
-from repro.core.incremental import IncrementalSchemaDiscovery
+from repro.core.session import SchemaSession
 from repro.graph.model import Edge, Node, PropertyGraph
 
 SEED = 2026
@@ -127,27 +130,18 @@ def synthetic_stream(
 
 def run_mode(mode: str, batches: list[PropertyGraph], seed: int) -> dict:
     """One full stream through the engine; returns the perf trajectory."""
-    overrides = (
-        {}
-        if mode == "streaming"
-        else {"retain_union": True, "streaming_postprocess": False}
-    )
-    config = PGHiveConfig(
-        seed=seed,
-        infer_keys=True,
-        post_process_each_batch=True,
-        **overrides,
-    )
-    engine = IncrementalSchemaDiscovery(config, schema_name=f"bench-{mode}")
+    session_cls = SchemaSession if mode == "streaming" else FullScanSession
+    config = PGHiveConfig(seed=seed, infer_keys=True, post_process_each_batch=True)
+    engine = session_cls(config, schema_name=f"bench-{mode}")
     per_batch: list[float] = []
     postprocess: list[float] = []
     tracemalloc.start()
     for batch in batches:
-        before = engine._timer.lap("postprocess")
+        before = engine.timer.lap("postprocess")
         start = time.perf_counter()
         engine.add_batch(batch)
         per_batch.append(time.perf_counter() - start)
-        postprocess.append(engine._timer.lap("postprocess") - before)
+        postprocess.append(engine.timer.lap("postprocess") - before)
     engine.finalize()
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
@@ -157,8 +151,8 @@ def run_mode(mode: str, batches: list[PropertyGraph], seed: int) -> dict:
         "postprocess_seconds": postprocess,
         "postprocess_total_seconds": sum(postprocess),
         "peak_traced_bytes": int(peak),
-        "node_types": engine.schema.node_type_count,
-        "edge_types": engine.schema.edge_type_count,
+        "node_types": engine.schema_graph.node_type_count,
+        "edge_types": engine.schema_graph.edge_type_count,
     }
 
 

@@ -11,16 +11,14 @@ API in one import::
     print(session.schema().summary())       # mid-stream snapshot
     session.checkpoint("discovery.ckpt")    # resume later, anywhere
 
-One-shot discovery stays one line (``PGHive().discover(graph)``); it and
-every other historical entry point are adapters over the session.  For
+One-shot discovery stays one line (``PGHive().discover(graph)``) and
+ingests through a session too.  For
 partitioned/parallel ingestion, ``ShardedSchemaSession(n_shards=4)``
 accepts the same change feed and serves the same snapshots from N
 mergeable per-shard sessions (optionally in worker processes).
 """
 
 from repro.core.config import AdaptiveOverrides, ClusteringMethod, PGHiveConfig
-from repro.core.incremental import IncrementalSchemaDiscovery
-from repro.core.maintenance import MaintainedSchema
 from repro.core.pipeline import DiscoveryResult, PGHive
 from repro.core.recovery import DurableSchemaSession, DurableShardedSchemaSession
 from repro.core.session import ChangeReport, DiffEvent, SchemaSession
@@ -57,8 +55,6 @@ __all__ = [
     "GraphStore",
     "GroupingRule",
     "HashPartitioner",
-    "IncrementalSchemaDiscovery",
-    "MaintainedSchema",
     "Node",
     "NodeType",
     "PGHive",

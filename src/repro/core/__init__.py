@@ -31,7 +31,6 @@ from repro.core.datatype_inference import (
     infer_datatypes_streaming,
     sample_values,
 )
-from repro.core.incremental import BatchReport, IncrementalSchemaDiscovery
 from repro.core.key_inference import (
     candidate_keys_for_type,
     candidate_keys_from_summaries,
@@ -39,7 +38,6 @@ from repro.core.key_inference import (
     infer_keys_streaming,
     to_pg_keys,
 )
-from repro.core.maintenance import MaintainedSchema
 from repro.core.pipeline import CAPABILITIES, DiscoveryResult, PGHive
 from repro.core.preprocess import ColumnarFeatures, Preprocessor
 from repro.core.serialization import to_pg_schema, to_xsd
@@ -55,7 +53,6 @@ from repro.core.type_extraction import (
 __all__ = [
     "AdaptiveOverrides",
     "AdaptiveParameters",
-    "BatchReport",
     "CAPABILITIES",
     "ChangeReport",
     "ClusteringMethod",
@@ -68,9 +65,7 @@ __all__ = [
     "DiscoveryState",
     "DistinctTracker",
     "EndpointAccumulator",
-    "IncrementalSchemaDiscovery",
     "KeyAccumulator",
-    "MaintainedSchema",
     "PGHive",
     "PGHiveConfig",
     "Preprocessor",

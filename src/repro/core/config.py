@@ -84,11 +84,6 @@ class PGHiveConfig:
     #: Apply post-processing after every incremental batch instead of only
     #: after the final one (the ``postProcessing`` flag of Algorithm 1).
     post_process_each_batch: bool = False
-    #: Incremental post-processing reads the per-type streaming
-    #: accumulators (O(|schema|) per pass) instead of re-scanning a
-    #: cumulative union graph.  Disable (debug/oracle mode) to restore the
-    #: pre-accumulator full-scan behaviour; requires ``retain_union``.
-    streaming_postprocess: bool = True
     #: Keep the cumulative union graph inside the incremental engine.  Off
     #: by default -- the union grows without bound and exists only for
     #: debugging, the full-scan oracle, and deletion maintenance.
@@ -104,12 +99,6 @@ class PGHiveConfig:
     #: keep the generic fold.  Schema output is identical either way
     #: (DESIGN.md "Structural dedup").
     structural_dedup: bool = True
-    #: MinHash hashing kernel: ``"auto"`` selects the compiled (numba)
-    #: kernel when importable and falls back to pure numpy, ``"numpy"``
-    #: and ``"numba"`` force one path.  Both kernels are bit-identical;
-    #: forcing ``"numba"`` without numba installed is a configuration
-    #: error.  Applied process-wide when a pipeline/session is built.
-    minhash_kernel: str = "auto"
     #: Parallel shard handoff: ``"auto"`` ships columnar change-sets
     #: through shared-memory blocks when the platform supports them and
     #: falls back to pickling, ``"pickle"``/``"shm"`` force one path.
@@ -150,20 +139,10 @@ class PGHiveConfig:
             raise ConfigurationError(
                 f"hashes_per_table must be >= 1, got {self.hashes_per_table}"
             )
-        if not self.streaming_postprocess and not self.retain_union:
-            raise ConfigurationError(
-                "streaming_postprocess=False re-scans the union graph and "
-                "therefore requires retain_union=True"
-            )
         if self.key_pair_tracking_cap < 0:
             raise ConfigurationError(
                 "key_pair_tracking_cap must be >= 0, got "
                 f"{self.key_pair_tracking_cap}"
-            )
-        if self.minhash_kernel not in ("auto", "numpy", "numba"):
-            raise ConfigurationError(
-                "minhash_kernel must be one of 'auto', 'numpy', 'numba', "
-                f"got {self.minhash_kernel!r}"
             )
         if self.shard_handoff not in ("auto", "pickle", "shm"):
             raise ConfigurationError(

@@ -5,14 +5,14 @@ into representation vectors, (c) LSH clustering, (d) type extraction and
 merging, then -- optionally -- (e) property constraints, (f) datatype
 inference, (g) cardinalities, and (h) serialisation helpers.  The same
 object also drives incremental discovery over a batch stream, delegating to
-:class:`~repro.core.incremental.IncrementalSchemaDiscovery`.
+:class:`~repro.core.session.SchemaSession`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.accumulators import SummaryOptions
 from repro.core.adaptive import AdaptiveParameters
@@ -31,7 +31,7 @@ from repro.graph.columnar import ColumnarElements, ElementBatch, SignatureStore
 from repro.graph.model import PropertyGraph
 from repro.graph.store import GraphStore
 from repro.lsh.base import GroupingRule
-from repro.lsh.minhash import MinHashLSH, configure_minhash_kernel
+from repro.lsh.minhash import MinHashLSH
 from repro.schema.model import SchemaGraph
 from repro.schema.validation import ValidationMode
 from repro.util import Timer
@@ -117,10 +117,6 @@ class PGHive:
 
     def __init__(self, config: PGHiveConfig | None = None) -> None:
         self.config = config or PGHiveConfig()
-        # Kernel choice is process-wide (signatures are bit-identical
-        # either way); applying it here covers sessions and the sharded
-        # workers, which all build a pipeline from their config.
-        configure_minhash_kernel(self.config.minhash_kernel)
 
     # ------------------------------------------------------------------
     # Static discovery (single batch)
@@ -132,26 +128,27 @@ class PGHive:
     ) -> DiscoveryResult:
         """Run the full pipeline over one graph.
 
-        One-shot adapter over :class:`~repro.core.session.SchemaSession`:
-        the graph is applied as a single change-set and post-processed by
-        full scan (the union of one batch *is* the input graph), which
-        preserves the historical static semantics exactly -- including
-        datatype sampling, which only exists on the full-scan path.
+        Steps (b)-(d) run as one batch through a
+        :class:`~repro.core.session.SchemaSession` with post-processing
+        off, so no streaming accumulators are built.  Steps (e)-(g) then
+        run once by full scan over ``graph`` -- the only path with the
+        datatype sampling of section 4.4.
         """
         from repro.core.session import SchemaSession
 
         graph = source.graph if isinstance(source, GraphStore) else source
         session = SchemaSession(
-            self.config,
+            replace(self.config, post_processing=False),
             schema_name=schema_name or f"{graph.name}-schema",
-            retain_union=True,
-            streaming_postprocess=False,
+            retain_union=False,
         )
-        # The union of one batch is the input graph: adopt it by reference
-        # instead of paying an O(|graph|) merge copy.
-        session._adopt_union(graph)
         session.add_batch(graph)
-        return session.finalize()
+        result = session.finalize()
+        result.config = self.config
+        if self.config.post_processing:
+            with result.timer.measure("postprocess"):
+                self.post_process(result.schema, graph)
+        return result
 
     # ------------------------------------------------------------------
     # Incremental discovery (batch stream)
@@ -208,7 +205,7 @@ class PGHive:
         earlier batches" design.
 
         ``build_summaries`` feeds the per-type streaming accumulators
-        during extraction; only the session's streaming path sets it --
+        during extraction; sessions set it until their first deletion --
         static discovery and the union-rescan path post-process by full
         scan, so building summaries there would be pure overhead.  When
         set, ``summary_options`` overrides the config-derived tracking
@@ -303,8 +300,9 @@ class PGHive:
         """Steps (e)-(g): constraints, datatypes, cardinalities (+ keys).
 
         Full-scan variant: re-reads every instance's values from ``graph``.
-        Used by static discovery and as the equivalence oracle for the
-        streaming path below.  ``track_keys`` overrides
+        Used by static discovery, by sessions after their first deletion,
+        and by the test suite's full-scan oracle for the streaming path
+        below.  ``track_keys`` overrides
         ``config.infer_keys`` (the session's per-session key flag).
         """
         infer_property_constraints(schema)

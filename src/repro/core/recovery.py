@@ -183,7 +183,6 @@ class DurableSchemaSession(SchemaSession):
         wal_segment_bytes: int = 8 * 1024 * 1024,
         keep_checkpoints: int = 2,
         retain_union: bool | None = None,
-        streaming_postprocess: bool | None = None,
         track_keys: bool | None = None,
         _resume: bool = False,
     ) -> None:
@@ -205,7 +204,6 @@ class DurableSchemaSession(SchemaSession):
             config,
             schema_name=schema_name,
             retain_union=retain_union,
-            streaming_postprocess=streaming_postprocess,
             track_keys=track_keys,
         )
         self.directory = directory
@@ -295,7 +293,6 @@ class DurableSchemaSession(SchemaSession):
         config: PGHiveConfig | None = None,
         schema_name: str = "session-schema",
         retain_union: bool | None = None,
-        streaming_postprocess: bool | None = None,
         track_keys: bool | None = None,
     ) -> "DurableSchemaSession":
         """Resume a durable session: newest valid checkpoint + WAL replay.
@@ -339,12 +336,10 @@ class DurableSchemaSession(SchemaSession):
                 wal_segment_bytes=wal_segment_bytes,
                 keep_checkpoints=keep_checkpoints,
                 retain_union=base._retain_union,
-                streaming_postprocess=base._streaming,
                 track_keys=base._track_keys,
                 _resume=True,
             )
             session._adopt_state(base._dstate)
-            session.reports = base.reports
             session._timer = base._timer
             session._result = base._result
         else:
@@ -357,8 +352,7 @@ class DurableSchemaSession(SchemaSession):
                 wal_segment_bytes=wal_segment_bytes,
                 keep_checkpoints=keep_checkpoints,
                 retain_union=retain_union,
-                streaming_postprocess=streaming_postprocess,
-                track_keys=track_keys,
+                    track_keys=track_keys,
                 _resume=True,
             )
         session._replay_wal()
@@ -424,7 +418,6 @@ class DurableShardedSchemaSession(ShardedSchemaSession):
         wal_segment_bytes: int = 8 * 1024 * 1024,
         keep_checkpoints: int = 2,
         retain_union: bool | None = None,
-        streaming_postprocess: bool | None = None,
         track_keys: bool | None = None,
         max_shard_retries: int = 2,
         retry_backoff: float = 0.05,
@@ -451,7 +444,6 @@ class DurableShardedSchemaSession(ShardedSchemaSession):
             n_shards=n_shards,
             parallel=parallel,
             retain_union=retain_union,
-            streaming_postprocess=streaming_postprocess,
             track_keys=track_keys,
             max_shard_retries=max_shard_retries,
             retry_backoff=retry_backoff,
@@ -534,7 +526,6 @@ class DurableShardedSchemaSession(ShardedSchemaSession):
         schema_name: str = "sharded-schema",
         n_shards: int = 4,
         retain_union: bool | None = None,
-        streaming_postprocess: bool | None = None,
         track_keys: bool | None = None,
         max_shard_retries: int = 2,
         retry_backoff: float = 0.05,
@@ -580,7 +571,6 @@ class DurableShardedSchemaSession(ShardedSchemaSession):
                 wal_segment_bytes=wal_segment_bytes,
                 keep_checkpoints=keep_checkpoints,
                 retain_union=base._retain_union,
-                streaming_postprocess=base._streaming,
                 track_keys=base._track_keys,
                 max_shard_retries=max_shard_retries,
                 retry_backoff=retry_backoff,
@@ -600,8 +590,7 @@ class DurableShardedSchemaSession(ShardedSchemaSession):
                 wal_segment_bytes=wal_segment_bytes,
                 keep_checkpoints=keep_checkpoints,
                 retain_union=retain_union,
-                streaming_postprocess=streaming_postprocess,
-                track_keys=track_keys,
+                    track_keys=track_keys,
                 max_shard_retries=max_shard_retries,
                 retry_backoff=retry_backoff,
                 resync_every=resync_every,

@@ -1,13 +1,10 @@
 """`SchemaSession`: the long-lived change-feed façade over discovery.
 
-The paper's pipeline is exposed through several historical entry points
-(:meth:`~repro.core.pipeline.PGHive.discover`, ``discover_incremental``,
-:class:`~repro.core.incremental.IncrementalSchemaDiscovery`,
-:class:`~repro.core.maintenance.MaintainedSchema`).  This module unifies
-them: every one of those surfaces is now a thin adapter over one
-:class:`SchemaSession`, which models discovery the way PG-Schema frames
-schemas -- as first-class evolving objects driven by a stream of change
-operations:
+Incremental discovery (section 4.6, Algorithm 1) runs on one engine:
+:class:`SchemaSession`.  :meth:`~repro.core.pipeline.PGHive.discover` and
+``discover_incremental`` ingest through it, and it models discovery the
+way PG-Schema frames schemas -- as first-class evolving objects driven by
+a stream of change operations:
 
 * **Change feed** -- :meth:`SchemaSession.apply` consumes
   :class:`~repro.graph.changes.ChangeSet` bundles (node/edge inserts plus
@@ -17,8 +14,8 @@ operations:
 * **Snapshots** -- :meth:`schema` serves the schema at any point
   mid-stream.  Post-processing (constraints, datatypes, cardinalities,
   keys) runs lazily, only when the schema is dirty, and is cached until
-  the next write; on the streaming path each refresh is an O(|schema|)
-  read over the per-type accumulators.
+  the next write; each refresh is an O(|schema|) read over the per-type
+  accumulators.
 * **Diff subscriptions** -- registered subscribers receive one
   :class:`DiffEvent` (a :class:`~repro.schema.diff.SchemaDiff` plus the
   change report) after every applied change-set, computed against a
@@ -32,8 +29,7 @@ operations:
 Deletions break the insert-monotone guarantees of the streaming
 accumulators, so they are gated on a retained union graph
 (``retain_union``): the first applied deletion permanently switches
-post-processing to the full re-scan over the surviving union, exactly the
-semantics :class:`MaintainedSchema` always had.
+post-processing to the full re-scan over the surviving union.
 
 Since the sharded-discovery work every mutable artefact the session
 accumulates -- schema, accumulators, preprocessor, MinHash caches, union
@@ -78,12 +74,10 @@ from repro.schema.diff import SchemaDiff, diff_schemas
 from repro.schema.model import EdgeType, NodeType, SchemaGraph
 from repro.util import Timer
 
-#: First line of every checkpoint file: magic token + format version (+
-#: payload digest and length since v2; see repro.core.durability).
+#: First line of every checkpoint file: magic token, format version,
+#: payload digest and length (see repro.core.durability).
 CHECKPOINT_MAGIC = b"pghive-session-checkpoint"
-CHECKPOINT_VERSION = 2
-#: Digest-free pre-durability versions that stay readable (unverified).
-CHECKPOINT_LEGACY_VERSIONS = (1,)
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)  # no slots: checkpoints pickle these, and
@@ -144,10 +138,9 @@ def _diff_snapshot(schema: SchemaGraph) -> SchemaGraph:
 class SchemaSession:
     """One long-lived, observable, persistable discovery session.
 
-    ``retain_union``, ``streaming_postprocess``, and ``track_keys``
-    override the corresponding config fields for this session only (the
-    adapters use them to pin their historical semantics without mutating
-    the user's config object).
+    ``retain_union`` and ``track_keys`` override the corresponding
+    config fields for this session only, without mutating the caller's
+    config object.
     """
 
     def __init__(
@@ -156,7 +149,6 @@ class SchemaSession:
         schema_name: str = "session-schema",
         *,
         retain_union: bool | None = None,
-        streaming_postprocess: bool | None = None,
         track_keys: bool | None = None,
     ) -> None:
         self.config = config or PGHiveConfig()
@@ -164,26 +156,14 @@ class SchemaSession:
         self._retain_union = (
             self.config.retain_union if retain_union is None else retain_union
         )
-        self._streaming = (
-            self.config.streaming_postprocess
-            if streaming_postprocess is None
-            else streaming_postprocess
-        )
         self._track_keys = (
             self.config.infer_keys if track_keys is None else track_keys
         )
-        if not self._streaming and not self._retain_union:
-            raise ConfigurationError(
-                "streaming_postprocess=False re-scans the union graph and "
-                "therefore requires retain_union=True"
-            )
         self._pipeline = PGHive(self.config)
         #: every mutable discovery artefact, as one mergeable value object.
         self._dstate = DiscoveryState.fresh(
             schema_name, retain_union=self._retain_union
         )
-        #: streaming reads stay valid until the first applied deletion.
-        self._dstate.streaming_valid = self._streaming
         self._timer = Timer()
         self._result = DiscoveryResult(
             schema=self._dstate.schema,
@@ -451,9 +431,7 @@ class SchemaSession:
             self._result,
             self._state,
             build_summaries=(
-                self._streaming
-                and self._streaming_valid
-                and self.config.post_processing
+                self._streaming_valid and self.config.post_processing
             ),
             summary_options=SummaryOptions(
                 track_keys=self._track_keys,
@@ -462,21 +440,6 @@ class SchemaSession:
             exclude_record=exclude_record,
             signatures=self._dstate.signatures,
         )
-
-    def _adopt_union(self, graph: PropertyGraph) -> None:
-        """Adopt ``graph`` as the union by reference (no element copies).
-
-        One-shot static discovery applies exactly one batch and full-scans
-        it; merging that batch into an empty union would duplicate the
-        whole graph for nothing.  Only valid before the first change-set;
-        the caller guarantees the graph outlives the session.
-        """
-        if self._union is None or len(self._union) or self._sequence:
-            raise ConfigurationError(
-                "a union graph can only be adopted into a fresh "
-                "union-retaining session"
-            )
-        self._union = graph
 
     def _insert_graph(
         self, change_set: ChangeSet
@@ -735,7 +698,6 @@ class SchemaSession:
         config: PGHiveConfig | None = None,
         *,
         schema_name: str | None = None,
-        streaming_postprocess: bool | None = None,
         track_keys: bool | None = None,
     ) -> "SchemaSession":
         """A session that continues from an existing :class:`DiscoveryState`.
@@ -752,7 +714,6 @@ class SchemaSession:
             config,
             schema_name=schema_name or state.schema.name,
             retain_union=state.union is not None,
-            streaming_postprocess=streaming_postprocess,
             track_keys=track_keys,
         )
         session._adopt_state(state)
@@ -768,17 +729,18 @@ class SchemaSession:
         schema (with its per-type accumulators), the fitted preprocessor
         and its embedding cache, the MinHash instances with their
         signature caches, the union graph when retained, and the stream
-        position.  Subscribers, the store binding, and wall-clock timings
-        are process-local and deliberately not captured.  Written
-        atomically (temp file + fsync + rename) with a payload digest in
-        the header that :meth:`restore` verifies.
+        position.  Subscribers, the store binding, the per-change report
+        history, and wall-clock timings are process-local and deliberately
+        not captured, so the file size tracks the schema and caches, not
+        the stream length.  Written atomically (temp file + fsync +
+        rename) with a payload digest in the header that :meth:`restore`
+        verifies.
         """
         path = Path(path)
         payload = {
             "config": self.config,
             "schema_name": self.schema_name,
             "retain_union": self._retain_union,
-            "streaming_postprocess": self._streaming,
             "track_keys": self._track_keys,
             "streaming_valid": self._streaming_valid,
             "dirty": self._dirty,
@@ -801,10 +763,8 @@ class SchemaSession:
             # restored stores re-intern the content against the restoring
             # process's interner.
             "signatures": self._dstate.signatures.snapshot(),
-            "reports": list(self.reports),
             "result": {
                 "batches_processed": self._result.batches_processed,
-                "batch_seconds": list(self._result.batch_seconds),
                 "node_cluster_count": self._result.node_cluster_count,
                 "edge_cluster_count": self._result.edge_cluster_count,
                 "node_parameters": self._result.node_parameters,
@@ -831,12 +791,7 @@ class SchemaSession:
         Only restore files from trusted sources: the payload is a pickle.
         """
         path = Path(path)
-        _, data = read_artifact(
-            path,
-            CHECKPOINT_MAGIC,
-            version=CHECKPOINT_VERSION,
-            legacy_versions=CHECKPOINT_LEGACY_VERSIONS,
-        )
+        data = read_artifact(path, CHECKPOINT_MAGIC, version=CHECKPOINT_VERSION)
         try:
             payload = pickle.loads(data)
         except Exception as error:
@@ -852,13 +807,11 @@ class SchemaSession:
             payload["config"],
             schema_name=payload["schema_name"],
             retain_union=payload["retain_union"],
-            streaming_postprocess=payload["streaming_postprocess"],
             track_keys=payload["track_keys"],
         )
         interner = global_interner()
-        snapshot = payload.get("interner")
-        if snapshot:
-            interner.merge_snapshot(snapshot)
+        if payload["interner"]:
+            interner.merge_snapshot(payload["interner"])
         session._adopt_state(
             DiscoveryState(
                 schema=payload["schema"],
@@ -868,19 +821,14 @@ class SchemaSession:
                 streaming_valid=payload["streaming_valid"],
                 dirty=payload["dirty"],
                 interner=interner,
-                # Pre-dedup checkpoints carry no signature refcounts;
-                # restore an empty store (rows demote to the full
-                # pipeline, which is always correct).
                 signatures=SignatureStore.from_snapshot(
-                    payload.get("signatures"), interner
+                    payload["signatures"], interner
                 ),
             )
         )
-        session.reports = list(payload["reports"])
         meta = payload["result"]
         session._result.schema = session._schema
         session._result.batches_processed = meta["batches_processed"]
-        session._result.batch_seconds = list(meta["batch_seconds"])
         session._result.node_cluster_count = meta["node_cluster_count"]
         session._result.edge_cluster_count = meta["edge_cluster_count"]
         session._result.node_parameters = meta["node_parameters"]

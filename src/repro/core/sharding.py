@@ -93,15 +93,13 @@ from repro.graph.columnar import (
     partition_columnar,
     value_shapes,
 )
-from repro.graph.model import Node, PropertyGraph
+from repro.graph.model import PropertyGraph
 from repro.schema.model import SchemaGraph
 
-#: First line of every sharded-checkpoint manifest (digest-framed since
-#: v2; see repro.core.durability).
+#: First line of every sharded-checkpoint manifest (digest-framed; see
+#: repro.core.durability).
 MANIFEST_MAGIC = b"pghive-sharded-checkpoint"
-MANIFEST_VERSION = 2
-#: Digest-free pre-durability versions that stay readable (unverified).
-MANIFEST_LEGACY_VERSIONS = (1,)
+MANIFEST_VERSION = 3
 MANIFEST_NAME = "manifest.ckpt"
 
 
@@ -154,13 +152,12 @@ class ShardFaultEvent:
 _WORKER_SESSION: SchemaSession | None = None
 
 
-def _worker_init(config, schema_name, retain_union, streaming, track_keys):
+def _worker_init(config, schema_name, retain_union, track_keys):
     global _WORKER_SESSION
     _WORKER_SESSION = SchemaSession(
         config,
         schema_name=schema_name,
         retain_union=retain_union,
-        streaming_postprocess=streaming,
         track_keys=track_keys,
     )
 
@@ -198,9 +195,7 @@ def _worker_restore(path: str) -> int:
     return _WORKER_SESSION.sequence
 
 
-def _worker_adopt(
-    state: DiscoveryState, config, schema_name, streaming, track_keys
-) -> int:
+def _worker_adopt(state: DiscoveryState, config, schema_name, track_keys) -> int:
     """Replace the worker's session with one resumed from ``state``.
 
     Pool-restart recovery ships the shard's last fetched state back into
@@ -212,7 +207,6 @@ def _worker_adopt(
         state,
         config,
         schema_name=schema_name,
-        streaming_postprocess=streaming,
         track_keys=track_keys,
     )
     return _WORKER_SESSION.sequence
@@ -275,10 +269,10 @@ class ShardedSchemaSession:
 
     Accepts the same change feed as :class:`SchemaSession` (``apply`` /
     ``add_batch``) and serves the same lazy :meth:`schema` snapshots;
-    ``retain_union``, ``streaming_postprocess``, and ``track_keys``
-    override config fields exactly as on the single session.  Use as a
-    context manager (or call :meth:`close`) when ``parallel=True`` so the
-    worker processes shut down deterministically.
+    ``retain_union`` and ``track_keys`` override config fields exactly
+    as on the single session.  Use as a context manager (or call
+    :meth:`close`) when ``parallel=True`` so the worker processes shut
+    down deterministically.
     """
 
     def __init__(
@@ -289,7 +283,6 @@ class ShardedSchemaSession:
         n_shards: int = 4,
         parallel: bool = False,
         retain_union: bool | None = None,
-        streaming_postprocess: bool | None = None,
         track_keys: bool | None = None,
         max_shard_retries: int = 2,
         retry_backoff: float = 0.05,
@@ -316,19 +309,9 @@ class ShardedSchemaSession:
         self._retain_union = (
             self.config.retain_union if retain_union is None else retain_union
         )
-        self._streaming = (
-            self.config.streaming_postprocess
-            if streaming_postprocess is None
-            else streaming_postprocess
-        )
         self._track_keys = (
             self.config.infer_keys if track_keys is None else track_keys
         )
-        if not self._streaming and not self._retain_union:
-            raise ConfigurationError(
-                "streaming_postprocess=False re-scans the union graph and "
-                "therefore requires retain_union=True"
-            )
         # Shards must never flush post-processing themselves: specs stay
         # raw so the passes run once, over the merged state.
         self._shard_config = replace(self.config, post_process_each_batch=False)
@@ -402,7 +385,6 @@ class ShardedSchemaSession:
             self._shard_config,
             schema_name=f"{self.schema_name}-shard{index}",
             retain_union=self._retain_union,
-            streaming_postprocess=self._streaming,
             track_keys=self._track_keys,
         )
 
@@ -414,7 +396,6 @@ class ShardedSchemaSession:
                 self._shard_config,
                 f"{self.schema_name}-shard{index}",
                 self._retain_union,
-                self._streaming,
                 self._track_keys,
             ),
         )
@@ -572,10 +553,7 @@ class ShardedSchemaSession:
         )
         try:
             prepared.parts = partition_columnar(
-                self._partitioner,
-                change_set,
-                self._registry,
-                record_cache=batch_records,
+                self._partitioner, change_set, record_cache=batch_records
             )
         except Exception:
             self._rollback(prepared)
@@ -1011,7 +989,6 @@ class ShardedSchemaSession:
                 baseline,
                 self._shard_config,
                 f"{self.schema_name}-shard{index}",
-                self._streaming,
                 self._track_keys,
             ).result()
         for part in self._pending[index]:
@@ -1050,7 +1027,6 @@ class ShardedSchemaSession:
                 baseline.clone(),
                 self._shard_config,
                 schema_name=f"{self.schema_name}-shard{index}",
-                streaming_postprocess=self._streaming,
                 track_keys=self._track_keys,
             )
         for part in self._pending[index]:
@@ -1131,17 +1107,13 @@ class ShardedSchemaSession:
 
     def _post_process(self, merged: DiscoveryState) -> None:
         pipeline = PGHive(self.config)
-        if self._streaming and merged.streaming_valid:
+        if merged.streaming_valid:
             pipeline.post_process_streaming(
                 merged.schema, track_keys=self._track_keys
             )
         else:
-            if merged.union is None:
-                raise ConfigurationError(
-                    "full-scan post-processing needs the merged union "
-                    "graph; construct the sharded session with "
-                    "retain_union=True"
-                )
+            # Only a deletion clears streaming_valid, and deletions need
+            # retained unions, so the merged union exists here.
             pipeline.post_process(
                 merged.schema, merged.union, track_keys=self._track_keys
             )
@@ -1199,7 +1171,6 @@ class ShardedSchemaSession:
             "n_shards": self.n_shards,
             "parallel": self.parallel,
             "retain_union": self._retain_union,
-            "streaming_postprocess": self._streaming,
             "track_keys": self._track_keys,
             "sequence": self._sequence,
             # Columnar records are encoded by content (labels, keys,
@@ -1207,7 +1178,6 @@ class ShardedSchemaSession:
             # survive a restore in a fresh process.
             "registry": {
                 node_id: (
-                    "columnar",
                     sorted(self._interner.labelset(entry[0]).labels),
                     self._interner.keyset(entry[1]).keys,
                     entry[2],
@@ -1240,12 +1210,7 @@ class ShardedSchemaSession:
         """
         directory = Path(directory)
         manifest = directory / MANIFEST_NAME
-        _, data = read_artifact(
-            manifest,
-            MANIFEST_MAGIC,
-            version=MANIFEST_VERSION,
-            legacy_versions=MANIFEST_LEGACY_VERSIONS,
-        )
+        data = read_artifact(manifest, MANIFEST_MAGIC, version=MANIFEST_VERSION)
         try:
             payload = pickle.loads(data)
         except Exception as error:
@@ -1256,29 +1221,23 @@ class ShardedSchemaSession:
             payload["config"],
             schema_name=payload["schema_name"],
             n_shards=payload["n_shards"],
-            parallel=payload.get("parallel", False) if parallel is None else parallel,
+            parallel=payload["parallel"] if parallel is None else parallel,
             retain_union=payload["retain_union"],
-            streaming_postprocess=payload["streaming_postprocess"],
             track_keys=payload["track_keys"],
         )
         session._sequence = payload["sequence"]
         interner = global_interner()
         registry: dict[str, tuple[int, int, tuple]] = {}
-        for node_id, entry in payload["registry"].items():
-            if isinstance(entry, Node):
-                # Manifests written before the registry held records only.
-                registry[node_id] = interner.element_record(entry)
-            else:
-                _, labels, keys, values = entry
-                labelset_id = interner.intern_labels(labels)
-                keyset_id = interner.intern_keys(keys)
-                registry[node_id] = (labelset_id, keyset_id, tuple(values))
+        for node_id, (labels, keys, values) in payload["registry"].items():
+            registry[node_id] = (
+                interner.intern_labels(labels),
+                interner.intern_keys(keys),
+                tuple(values),
+            )
         session._registry = registry
         session._interner = interner
-        # Pre-dedup manifests carry no signature seeds; the restored
-        # store starts empty and re-seeds from subsequent change-sets.
         session._signatures = SignatureStore.from_snapshot(
-            payload.get("signatures"), interner
+            payload["signatures"], interner
         )
         # Restored records were re-interned against the process-wide
         # interner; later columnar batches must share it.

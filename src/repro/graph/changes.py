@@ -53,11 +53,7 @@ if TYPE_CHECKING:
 #: distinct structure, not once per row) and deflate-compresses the
 #: pickled record, shrinking the WAL sharply on repeat-heavy feeds.
 WIRE_VERSION = 2
-#: Older wire versions :meth:`ChangeSet.from_wire` still decodes.
-WIRE_LEGACY_VERSIONS = (1,)
-#: Frame prefix of a version-2 record.  Version-1 records are raw
-#: pickles, which always begin with the pickle PROTO opcode ``b"\x80"``,
-#: so the first byte disambiguates the two framings.
+#: Frame prefix of a version-2 record (a deflated pickle follows).
 _WIRE_V2_PREFIX = b"\x02"
 
 
@@ -226,28 +222,27 @@ class ChangeSet:
     ) -> "ChangeSet":
         """Decode :meth:`to_wire` output (see its docstring for caveats).
 
-        Reads the current wire version and every version in
-        ``WIRE_LEGACY_VERSIONS`` (v1 WAL segments written before the
-        structure-grouped encoding stay replayable).  Columnar payloads
-        rebuild against ``interner`` (the process-wide one by default).
+        Reads the current wire version only.  Columnar payloads rebuild
+        against ``interner`` (the process-wide one by default).
         Only decode records from trusted sources: the payload is a
         pickle.
         """
+        if data[:1] != _WIRE_V2_PREFIX:
+            raise WALError(
+                "undecodable change-set wire record: no version-"
+                f"{WIRE_VERSION} frame prefix"
+            )
         try:
-            if data[:1] == _WIRE_V2_PREFIX:
-                record = pickle.loads(zlib.decompress(data[1:]))
-            else:
-                record = pickle.loads(data)
+            record = pickle.loads(zlib.decompress(data[1:]))
         except Exception as error:
             raise WALError(
                 f"undecodable change-set wire record: {error}"
             ) from error
         version = record.get("version") if isinstance(record, dict) else None
-        if version != WIRE_VERSION and version not in WIRE_LEGACY_VERSIONS:
+        if version != WIRE_VERSION:
             raise WALError(
                 f"unsupported change-set wire version {version!r} "
-                f"(this build reads versions "
-                f"{(*WIRE_LEGACY_VERSIONS, WIRE_VERSION)})"
+                f"(this build reads version {WIRE_VERSION})"
             )
         stubs = frozenset(record["stubs"])
         if record["kind"] == "columnar":
@@ -255,45 +250,25 @@ class ChangeSet:
 
             builder = BatchBuilder(interner or global_interner())
             target = builder.interner
-            if version == 1:
-                for node_id, labels, keys, values in record["node_rows"]:
+            for labels, keys, rows in record["node_groups"]:
+                labelset_id = target.intern_labels(labels)
+                keyset_id = target.intern_keys(keys)
+                for node_id, values in rows:
                     builder.add_node(
-                        node_id,
-                        target.intern_labels(labels),
-                        target.intern_keys(keys),
-                        tuple(values),
+                        node_id, labelset_id, keyset_id, tuple(values)
                     )
-                for edge_id, src, tgt, labels, keys, values in record[
-                    "edge_rows"
-                ]:
+            for labels, keys, rows in record["edge_groups"]:
+                labelset_id = target.intern_labels(labels)
+                keyset_id = target.intern_keys(keys)
+                for edge_id, src, tgt, values in rows:
                     builder.add_edge(
                         edge_id,
                         src,
                         tgt,
-                        target.intern_labels(labels),
-                        target.intern_keys(keys),
+                        labelset_id,
+                        keyset_id,
                         tuple(values),
                     )
-            else:
-                for labels, keys, rows in record["node_groups"]:
-                    labelset_id = target.intern_labels(labels)
-                    keyset_id = target.intern_keys(keys)
-                    for node_id, values in rows:
-                        builder.add_node(
-                            node_id, labelset_id, keyset_id, tuple(values)
-                        )
-                for labels, keys, rows in record["edge_groups"]:
-                    labelset_id = target.intern_labels(labels)
-                    keyset_id = target.intern_keys(keys)
-                    for edge_id, src, tgt, values in rows:
-                        builder.add_edge(
-                            edge_id,
-                            src,
-                            tgt,
-                            labelset_id,
-                            keyset_id,
-                            tuple(values),
-                        )
             return cls(
                 delete_nodes=list(record["delete_nodes"]),
                 delete_edges=list(record["delete_edges"]),

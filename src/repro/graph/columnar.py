@@ -1354,16 +1354,15 @@ def columnar_changesets_from_rows(
 def partition_columnar(
     partitioner: "HashPartitioner",
     change_set: ChangeSet,
-    node_lookup: Mapping[str, tuple[int, int, tuple]] | None = None,
     record_cache: dict[str, tuple[int, int, tuple]] | None = None,
 ) -> dict[int, ChangeSet]:
     """Split a columnar change-set into per-shard columnar change-sets.
 
     Node rows route by ``partitioner.shard_of(node_id)``, edge rows by
-    their edge id, and cross-shard endpoints travel as stub rows (taken
-    from the batch itself or from ``node_lookup``, the sharded session's
-    compact node registry), marked in ``stub_node_ids``.  Node deletions
-    broadcast, edge deletions route to the owner shard.  ``record_cache`` may carry
+    their edge id, and cross-shard endpoints travel as stub rows copied
+    from the batch itself (a frozen batch ships a row for every edge
+    endpoint), marked in ``stub_node_ids``.  Node deletions broadcast,
+    edge deletions route to the owner shard.  ``record_cache`` may carry
     pre-built compact records for this batch's node ids (the sharded
     session builds them for its registry anyway); missing entries are
     materialised on demand.  Element inserts must be converted first
@@ -1396,16 +1395,12 @@ def partition_columnar(
     if record_cache is None:
         record_cache = {}
 
-    def record_of(node_id: str) -> tuple[int, int, tuple] | None:
+    def record_of(node_id: str) -> tuple[int, int, tuple]:
         record = record_cache.get(node_id)
         if record is None:
-            row = in_batch.get(node_id)
-            if row is not None:
-                record = batch.node_record(row)
-            elif node_lookup is not None:
-                record = node_lookup.get(node_id)
-            if record is not None:
-                record_cache[node_id] = record
+            record = record_cache[node_id] = batch.node_record(
+                in_batch[node_id]
+            )
         return record
 
     for row, node_id in enumerate(batch.nodes.ids):
@@ -1426,14 +1421,7 @@ def partition_columnar(
         ):
             if part.has_node(endpoint_id):
                 continue
-            record = record_of(endpoint_id)
-            if record is None:
-                raise DanglingEdgeError(
-                    f"change-set edge {edge_id!r} references node "
-                    f"{endpoint_id!r}, which is neither in the change-set "
-                    "nor known to the partitioner's node lookup"
-                )
-            part.add_node(endpoint_id, *record)
+            part.add_node(endpoint_id, *record_of(endpoint_id))
             stubs[shard].add(endpoint_id)
         part.add_edge(edge_id, *batch.edge_record(row))
 

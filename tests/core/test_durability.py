@@ -38,7 +38,7 @@ class TestAtomicArtifacts:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "artifact.bin"
         write_artifact(path, MAGIC, 3, b"payload bytes")
-        assert read_artifact(path, MAGIC, version=3) == (3, b"payload bytes")
+        assert read_artifact(path, MAGIC, version=3) == b"payload bytes"
 
     def test_header_carries_digest_and_length(self, tmp_path):
         path = write_artifact(tmp_path / "a.bin", MAGIC, 1, b"abc")
@@ -74,12 +74,14 @@ class TestAtomicArtifacts:
         with pytest.raises(CheckpointCorruptError, match="bytes"):
             read_artifact(path, MAGIC, version=1)
 
-    def test_legacy_two_token_header(self, tmp_path):
-        path = tmp_path / "legacy.bin"
+    def test_two_token_header_is_rejected(self, tmp_path):
+        # Digest-free headers are not read under any version.
+        path = tmp_path / "old.bin"
         path.write_bytes(MAGIC + b" 1\npayload")
-        assert read_artifact(
-            path, MAGIC, version=2, legacy_versions=(1,)
-        ) == (1, b"payload")
+        with pytest.raises(CheckpointFormatError, match="expected 4"):
+            read_artifact(path, MAGIC, version=1)
+        with pytest.raises(CheckpointVersionError):
+            read_artifact(path, MAGIC, version=2)
 
     def test_crash_before_replace_keeps_old_content(self, tmp_path):
         path = tmp_path / "a.bin"
@@ -88,7 +90,7 @@ class TestAtomicArtifacts:
             injector.arm("atomic.before_replace")
             with pytest.raises(SimulatedCrash):
                 write_artifact(path, MAGIC, 1, b"new")
-        assert read_artifact(path, MAGIC, version=1) == (1, b"old")
+        assert read_artifact(path, MAGIC, version=1) == b"old"
         assert not (tmp_path / "a.bin.tmp").exists()
 
     def test_atomic_write_replaces_whole_file(self, tmp_path):

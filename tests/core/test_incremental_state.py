@@ -8,8 +8,8 @@ them per batch) *without* changing what schema comes out.
 import pytest
 
 from repro.core.config import ClusteringMethod, PGHiveConfig
-from repro.core.incremental import IncrementalSchemaDiscovery
 from repro.core.pipeline import PGHive, PipelineState
+from repro.core.session import SchemaSession
 from repro.graph.batching import split_into_batches
 
 
@@ -20,7 +20,7 @@ def batches(figure1_graph):
 
 class TestStatePersistence:
     def test_preprocessor_fitted_once_and_reused(self, batches):
-        engine = IncrementalSchemaDiscovery(PGHiveConfig(seed=0))
+        engine = SchemaSession(PGHiveConfig(seed=0))
         engine.add_batch(batches[0])
         preprocessor = engine.state.preprocessor
         assert preprocessor is not None
@@ -41,7 +41,7 @@ class TestStatePersistence:
             node_lsh=AdaptiveOverrides(num_tables=8),
             edge_lsh=AdaptiveOverrides(num_tables=8),
         )
-        engine = IncrementalSchemaDiscovery(config)
+        engine = SchemaSession(config)
         sizes: list[int] = []
         instances: set[int] = set()
         for batch in batches:
@@ -60,7 +60,7 @@ class TestStatePersistence:
         assert all(later >= earlier for earlier, later in zip(sizes, sizes[1:]))
 
     def test_embedding_cache_grows_not_resets(self, batches):
-        engine = IncrementalSchemaDiscovery(PGHiveConfig(seed=0))
+        engine = SchemaSession(PGHiveConfig(seed=0))
         seen: list[set[str]] = []
         for batch in batches:
             engine.add_batch(batch)
@@ -77,7 +77,7 @@ class TestStatePersistence:
         config = PGHiveConfig(method=method, seed=0)
         stream = split_into_batches(figure1_graph, 3, seed=4)
 
-        engine = IncrementalSchemaDiscovery(config)
+        engine = SchemaSession(config)
         for batch in stream:
             engine.add_batch(batch)
         stateful = engine.finalize()

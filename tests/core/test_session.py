@@ -12,6 +12,7 @@ from repro.graph.columnar import ElementBatch
 from repro.graph.model import Edge, Node, PropertyGraph
 from repro.graph.store import GraphStore
 from repro.schema.model import schema_fingerprint
+from tests.reference import FullScanSession
 
 
 def feed(session, graph, batches=3, seed=4):
@@ -394,50 +395,28 @@ class TestStoreAttachment:
 
 
 class TestAdapterDelegation:
-    def test_incremental_engine_is_session_backed(self, figure1_graph):
-        from repro.core.incremental import IncrementalSchemaDiscovery
-
-        engine = IncrementalSchemaDiscovery(PGHiveConfig(seed=0))
-        assert isinstance(engine.session, SchemaSession)
-        for batch in split_into_batches(figure1_graph, 2, seed=1):
-            engine.add_batch(batch)
-        assert engine.schema is engine.session.schema_graph
-
-    def test_maintained_schema_is_session_backed(self, figure1_graph):
-        from repro.core.maintenance import MaintainedSchema
-
-        maintained = MaintainedSchema(PGHiveConfig(seed=0))
-        assert isinstance(maintained.session, SchemaSession)
-        maintained.insert_batch(figure1_graph)
-        assert maintained.delete_nodes(["place"]) == 1
-
     def test_discover_equals_session_full_scan(self, figure1_graph):
         config = PGHiveConfig(seed=0)
         result = PGHive(config).discover(figure1_graph)
-        session = SchemaSession(
-            config,
-            schema_name=f"{figure1_graph.name}-schema",
-            retain_union=True,
-            streaming_postprocess=False,
+        session = FullScanSession(
+            config, schema_name=f"{figure1_graph.name}-schema"
         )
         session.add_batch(figure1_graph)
         assert schema_fingerprint(result.schema) == schema_fingerprint(
             session.schema()
         )
 
-    def test_oracle_mode_requires_union(self):
-        with pytest.raises(ConfigurationError):
-            SchemaSession(
-                PGHiveConfig(seed=0), streaming_postprocess=False
-            )
-
-    def test_adopted_union_is_not_copied(self, figure1_graph):
-        session = SchemaSession(
-            PGHiveConfig(seed=0), retain_union=True,
-            streaming_postprocess=False,
+    def test_discover_builds_no_summaries_and_times_postprocess(
+        self, figure1_graph
+    ):
+        # Static discovery post-processes once, by full scan: no streaming
+        # accumulators are built, and the pass is timed.
+        config = PGHiveConfig(seed=0, infer_keys=True)
+        result = PGHive(config).discover(figure1_graph)
+        schema = result.schema
+        assert all(
+            t.summaries is None
+            for t in (*schema.node_types(), *schema.edge_types())
         )
-        session._adopt_union(figure1_graph)
-        session.add_batch(figure1_graph)
-        assert session.union_graph is figure1_graph
-        with pytest.raises(ConfigurationError):
-            session._adopt_union(figure1_graph)  # no longer fresh
+        assert result.timer.lap("postprocess") > 0
+        assert result.config is config

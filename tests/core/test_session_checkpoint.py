@@ -16,6 +16,7 @@ from repro.core.session import (
     CHECKPOINT_VERSION,
     SchemaSession,
 )
+from repro.core.sharding import ShardedSchemaSession
 from repro.errors import (
     CheckpointCorruptError,
     CheckpointError,
@@ -44,7 +45,6 @@ class TestRoundTrip:
             session.schema_graph
         )
         assert restored.sequence == session.sequence
-        assert restored.reports == session.reports
 
     def test_resumed_stream_matches_uninterrupted(
         self, figure1_graph, tmp_path, method
@@ -171,17 +171,19 @@ class TestFormat:
         with pytest.raises(CheckpointCorruptError, match="digest"):
             SchemaSession.restore(path)
 
-    def test_reads_legacy_v1_header(self, figure1_graph, tmp_path):
+    def test_rejects_previous_version(self, figure1_graph, tmp_path):
         session = SchemaSession(PGHiveConfig(seed=0))
         session.add_batch(figure1_graph)
-        v2 = session.checkpoint(tmp_path / "v2.ckpt").read_bytes()
-        payload = v2.split(b"\n", 1)[1]
-        legacy = tmp_path / "legacy.ckpt"
-        legacy.write_bytes(CHECKPOINT_MAGIC + b" 1\n" + payload)
-        restored = SchemaSession.restore(legacy)
-        assert schema_fingerprint(restored.schema()) == schema_fingerprint(
-            session.schema()
+        original = session.checkpoint(tmp_path / "orig.ckpt").read_bytes()
+        header, payload = original.split(b"\n", 1)
+        magic, _version, digest, length = header.split()
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(
+            b"%s %d %s %s\n" % (magic, CHECKPOINT_VERSION - 1, digest, length)
+            + payload
         )
+        with pytest.raises(CheckpointVersionError, match="version"):
+            SchemaSession.restore(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):
@@ -198,3 +200,46 @@ class TestFormat:
             payload = pickle.load(handle)
         assert payload["sequence"] == 1
         assert payload["schema_name"] == "session-schema"
+
+
+def _checkpoint_bytes(path):
+    if path.is_dir():  # sharded: manifest plus one file per shard
+        return sum(child.stat().st_size for child in path.iterdir())
+    return path.stat().st_size
+
+
+class TestCheckpointSize:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: SchemaSession(PGHiveConfig(seed=0)),
+            lambda: ShardedSchemaSession(PGHiveConfig(seed=0), n_shards=2),
+        ],
+        ids=["single", "sharded"],
+    )
+    def test_size_does_not_grow_with_stream_length(
+        self, figure1_graph, tmp_path, make
+    ):
+        # Re-applying one change-set leaves schema and caches unchanged,
+        # so a checkpoint after 200 applies must match one after 20: no
+        # per-change history (reports, wall-clock seconds) is persisted.
+        change_set = ChangeSet.from_graph(figure1_graph)
+        sizes = []
+        for applies in (20, 200):
+            session = make()
+            for _ in range(applies):
+                session.apply(change_set)
+            path = session.checkpoint(tmp_path / f"after-{applies}.ckpt")
+            sizes.append(_checkpoint_bytes(path))
+        short, long = sizes
+        assert abs(long - short) < 0.01 * short
+
+    def test_restored_session_starts_with_empty_history(
+        self, figure1_graph, tmp_path
+    ):
+        session = SchemaSession(PGHiveConfig(seed=0))
+        session.apply(ChangeSet.from_graph(figure1_graph))
+        restored = SchemaSession.restore(session.checkpoint(tmp_path / "c"))
+        assert restored.reports == []
+        assert restored.finalize().batch_seconds == []
+        assert restored.finalize().batches_processed == 1

@@ -5,8 +5,17 @@ import pytest
 
 from repro.core.config import PGHiveConfig
 from repro.core.session import SchemaSession
-from repro.core.sharding import ShardedSchemaSession
-from repro.errors import CheckpointError, ConfigurationError, DanglingEdgeError
+from repro.core.sharding import (
+    MANIFEST_NAME,
+    MANIFEST_VERSION,
+    ShardedSchemaSession,
+)
+from repro.errors import (
+    CheckpointError,
+    CheckpointVersionError,
+    ConfigurationError,
+    DanglingEdgeError,
+)
 from repro.graph.changes import ChangeSet, HashPartitioner, stable_shard
 from repro.graph.columnar import ElementBatch, partition_columnar
 from repro.graph.model import Edge, Node, PropertyGraph
@@ -123,7 +132,7 @@ class TestHashPartitioner:
             session.apply(ChangeSet.inserts(edges=[dangling]))
         with pytest.raises(ConfigurationError):
             partition_columnar(
-                HashPartitioner(2), ChangeSet.inserts(edges=[edge]), {}
+                HashPartitioner(2), ChangeSet.inserts(edges=[edge])
             )
 
     def test_node_deletions_broadcast_edge_deletions_route(self):
@@ -141,8 +150,6 @@ class TestShardedSession:
     def test_rejects_bad_configuration(self):
         with pytest.raises(ConfigurationError):
             ShardedSchemaSession(n_shards=0)
-        with pytest.raises(ConfigurationError):
-            ShardedSchemaSession(streaming_postprocess=False)
         session = ShardedSchemaSession(n_shards=2)
         with pytest.raises(ConfigurationError):
             session.apply(ChangeSet.deletions(nodes=["v0"]))
@@ -258,6 +265,19 @@ class TestShardedCheckpoint:
         (bogus / "manifest.ckpt").write_bytes(b"not a manifest\n")
         with pytest.raises(CheckpointError):
             ShardedSchemaSession.restore(bogus)
+
+    def test_rejects_previous_manifest_version(self, tmp_path):
+        session = ShardedSchemaSession(PGHiveConfig(seed=5), n_shards=2)
+        session.apply(feed(1)[0])
+        manifest = session.checkpoint(tmp_path / "ck") / MANIFEST_NAME
+        header, payload = manifest.read_bytes().split(b"\n", 1)
+        magic, _version, digest, length = header.split()
+        manifest.write_bytes(
+            b"%s %d %s %s\n" % (magic, MANIFEST_VERSION - 1, digest, length)
+            + payload
+        )
+        with pytest.raises(CheckpointVersionError, match="version"):
+            ShardedSchemaSession.restore(manifest.parent)
 
     def test_per_shard_files_are_plain_session_checkpoints(self, tmp_path):
         config = PGHiveConfig(seed=5)

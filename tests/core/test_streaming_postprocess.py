@@ -4,9 +4,8 @@ The streaming subsystem (``repro.core.accumulators``) must reproduce the
 full-scan post-processing results *bit for bit*: same datatypes, same
 cardinality bounds and classes, same mandatory/optional flags, same
 candidate keys -- on any insert stream, in any batch order, including the
-single-batch degenerate case.  The oracle is the pre-accumulator
-behaviour, still reachable via ``retain_union=True,
-streaming_postprocess=False``.
+single-batch degenerate case.  The oracle is the full-scan session of
+``tests/reference.py`` (:class:`FullScanSession`).
 """
 
 import pytest
@@ -22,12 +21,13 @@ from repro.core.accumulators import (
     TypeSummaries,
 )
 from repro.core.config import PGHiveConfig
-from repro.core.incremental import IncrementalSchemaDiscovery
 from repro.core.pipeline import PGHive
+from repro.core.session import SchemaSession
 from repro.errors import ConfigurationError, SchemaError
 from repro.graph.batching import split_into_batches
 from repro.graph.model import Edge, Node, PropertyGraph
 from repro.schema.datatypes import DataType
+from tests.reference import FullScanSession
 
 
 # ----------------------------------------------------------------------
@@ -180,7 +180,7 @@ class TestTypeSummariesMerge:
 # ----------------------------------------------------------------------
 class TestUnionRetention:
     def test_no_union_graph_by_default(self, figure1_graph):
-        engine = IncrementalSchemaDiscovery(PGHiveConfig(seed=0))
+        engine = SchemaSession(PGHiveConfig(seed=0))
         for batch in split_into_batches(figure1_graph, 2, seed=1):
             engine.add_batch(batch)
         assert engine._union is None
@@ -188,17 +188,13 @@ class TestUnionRetention:
             engine.union_graph
 
     def test_retain_union_keeps_all_batches(self, figure1_graph):
-        engine = IncrementalSchemaDiscovery(
+        engine = SchemaSession(
             PGHiveConfig(seed=0, retain_union=True)
         )
         for batch in split_into_batches(figure1_graph, 2, seed=1):
             engine.add_batch(batch)
         assert engine.union_graph.node_count == figure1_graph.node_count
         assert engine.union_graph.edge_count == figure1_graph.edge_count
-
-    def test_full_scan_mode_requires_union(self):
-        with pytest.raises(ConfigurationError):
-            PGHiveConfig(streaming_postprocess=False)
 
     def test_streaming_read_raises_without_summaries(self):
         from repro.core.datatype_inference import infer_datatypes_streaming
@@ -237,15 +233,16 @@ class TestUnionRetention:
     def test_no_summaries_when_post_processing_disabled(self, figure1_graph):
         # config.post_processing=False times clustering alone; the engine
         # must not pay for accumulators nobody will ever read.
-        engine = IncrementalSchemaDiscovery(
+        engine = SchemaSession(
             PGHiveConfig(seed=0, post_processing=False)
         )
         for batch in split_into_batches(figure1_graph, 2, seed=1):
             engine.add_batch(batch)
         engine.finalize()
+        schema = engine.schema_graph
         assert all(
             t.summaries is None
-            for t in (*engine.schema.node_types(), *engine.schema.edge_types())
+            for t in (*schema.node_types(), *schema.edge_types())
         )
 
     def test_pair_overflow_warns_instead_of_silent_divergence(self):
@@ -284,15 +281,14 @@ class TestUnionRetention:
             t.summaries is None
             for t in (*static.schema.node_types(), *static.schema.edge_types())
         )
-        engine = IncrementalSchemaDiscovery(
-            PGHiveConfig(seed=0, retain_union=True, streaming_postprocess=False)
-        )
+        engine = FullScanSession(PGHiveConfig(seed=0))
         for batch in split_into_batches(figure1_graph, 2, seed=1):
             engine.add_batch(batch)
         engine.finalize()
+        schema = engine.schema_graph
         assert all(
             t.summaries is None
-            for t in (*engine.schema.node_types(), *engine.schema.edge_types())
+            for t in (*schema.node_types(), *schema.edge_types())
         )
 
 
@@ -316,20 +312,18 @@ def _snapshot(schema):
     return out
 
 
-def _run_stream(batches, seed, **overrides):
+def _run_stream(batches, seed, session_cls=SchemaSession, **overrides):
     config = PGHiveConfig(seed=seed, infer_keys=True, **overrides)
-    engine = IncrementalSchemaDiscovery(config)
+    engine = session_cls(config)
     for batch in batches:
         engine.add_batch(batch)
     engine.finalize()
-    return engine.schema
+    return engine.schema_graph
 
 
 def _assert_equivalent(batches, seed):
     streaming = _run_stream(batches, seed)
-    oracle = _run_stream(
-        batches, seed, retain_union=True, streaming_postprocess=False
-    )
+    oracle = _run_stream(batches, seed, FullScanSession)
     assert _snapshot(streaming) == _snapshot(oracle)
 
 
@@ -405,11 +399,7 @@ class TestStreamingEquivalence:
     def test_per_batch_postprocess_matches_oracle(self, batches, seed):
         streaming = _run_stream(batches, seed, post_process_each_batch=True)
         oracle = _run_stream(
-            batches,
-            seed,
-            post_process_each_batch=True,
-            retain_union=True,
-            streaming_postprocess=False,
+            batches, seed, FullScanSession, post_process_each_batch=True
         )
         assert _snapshot(streaming) == _snapshot(oracle)
 
@@ -432,7 +422,5 @@ class TestStreamingEquivalence:
         # matches the *exact* oracle even when sampling is configured.
         batches = split_into_batches(figure1_graph, 2, seed=11)
         sampled = _run_stream(batches, seed=0, datatype_sampling=True)
-        exact = _run_stream(
-            batches, seed=0, retain_union=True, streaming_postprocess=False
-        )
+        exact = _run_stream(batches, 0, FullScanSession)
         assert _snapshot(sampled) == _snapshot(exact)

@@ -6,12 +6,20 @@ in one process decodes correctly against a *different* interner whose id
 assignments disagree.
 """
 
+import pickle
+import zlib
+
 import pytest
 
 from repro.graph.changes import ChangeSet
 from repro.graph.columnar import BatchBuilder, Interner, global_interner
 from repro.graph.model import Edge, Node
 from repro.errors import WALError
+
+
+def framed(record) -> bytes:
+    """A record in the version-2 wire framing (prefix + deflated pickle)."""
+    return b"\x02" + zlib.compress(pickle.dumps(record))
 
 
 def element_change_set():
@@ -103,14 +111,16 @@ class TestWireErrors:
             ChangeSet.from_wire(b"\x00\x01 not a pickle")
 
     def test_wrong_version(self):
-        import pickle
-
-        wire = pickle.dumps({"version": 999})
+        wire = framed({"version": 999})
         with pytest.raises(WALError, match="version"):
             ChangeSet.from_wire(wire)
 
     def test_non_dict_record(self):
-        import pickle
-
         with pytest.raises(WALError, match="version"):
-            ChangeSet.from_wire(pickle.dumps([1, 2, 3]))
+            ChangeSet.from_wire(framed([1, 2, 3]))
+
+    def test_framed_v1_record_is_rejected(self):
+        # Only wire v2 decodes: a v1 record fails even when framed.
+        record = {"version": 1, "kind": "columnar", "node_rows": []}
+        with pytest.raises(WALError, match="version 1"):
+            ChangeSet.from_wire(framed(record))

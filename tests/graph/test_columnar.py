@@ -174,7 +174,7 @@ class TestColumnarPartitioning:
         path = self.feed(tmp_path)
         partitioner = HashPartitioner(1)
         for change_set in iter_columnar_changesets_jsonl(path, batch_size=9):
-            parts = partition_columnar(partitioner, change_set, {})
+            parts = partition_columnar(partitioner, change_set)
             assert list(parts) == [0]
             nodes, edges = parts[0].columnar.to_elements()
             expected_nodes, expected_edges = change_set.columnar.to_elements()
@@ -185,13 +185,11 @@ class TestColumnarPartitioning:
     def test_partition_ships_cross_shard_stubs(self, tmp_path):
         path = self.feed(tmp_path)
         partitioner = HashPartitioner(3)
-        registry = {}
         for change_set in iter_columnar_changesets_jsonl(path, batch_size=9):
-            batch = change_set.columnar
-            for row, node_id in enumerate(batch.nodes.ids):
-                registry.setdefault(node_id, batch.node_record(row))
+            # Cross-batch endpoints arrive as stub rows of the batch
+            # itself, so no node registry is needed to route them.
             for shard, part in partition_columnar(
-                partitioner, change_set, registry
+                partitioner, change_set
             ).items():
                 nodes, edges = part.columnar.to_elements()
                 present = {node.node_id for node in nodes}

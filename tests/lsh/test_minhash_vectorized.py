@@ -15,6 +15,7 @@ from repro.lsh.minhash import (
     _MERSENNE_PRIME,
     _mulmod_p61,
     MinHashLSH,
+    active_minhash_kernel,
     exact_jaccard,
     scalar_signature,
 )
@@ -47,6 +48,10 @@ class TestKernelExactness:
                     np.array([x], dtype=np.uint64),
                 )
                 assert int(got[0]) == (a * x) % _MERSENNE_PRIME
+
+    def test_single_numpy_kernel(self):
+        # Benchmark host metadata records this name.
+        assert active_minhash_kernel() == "numpy"
 
 
 class TestScalarEquivalence:

@@ -3,8 +3,9 @@
 Interleaved insert/delete change-sets driven through a streaming
 :class:`SchemaSession` (which builds accumulators and falls back to the
 full re-scan only after the first deletion) must land on exactly the
-schema that the :class:`MaintainedSchema` surface -- always union-backed,
-always full-recompute -- produces for the same operation sequence.  The
+schema that the full-scan oracle of ``tests/reference.py``
+(:class:`FullScanSession` -- always union-backed, always full-recompute)
+produces for the same operation sequence.  The
 session additionally resolves edge endpoints from its union graph instead
 of requiring shipped stubs; the oracle receives classic stub-carrying
 batches, so the test also pins that the two ingestion paths agree.
@@ -14,11 +15,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import PGHiveConfig
-from repro.core.maintenance import MaintainedSchema
 from repro.core.session import SchemaSession
 from repro.graph.changes import ChangeSet
 from repro.graph.model import Edge, Node, PropertyGraph
 from repro.schema.model import schema_fingerprint
+from tests.reference import FullScanSession
 
 LABELS = ["Person", "Org", "Post"]
 KEYS = ["name", "age", "url", "rank"]
@@ -121,8 +122,8 @@ def drive_session(resolved, config):
 
 
 def drive_maintained(resolved, config):
-    """Feed the script through the classic maintenance surface."""
-    maintained = MaintainedSchema(config, infer_key_constraints=config.infer_keys)
+    """Feed the script through the full-scan oracle session."""
+    maintained = FullScanSession(config, track_keys=config.infer_keys)
     known: dict[str, Node] = {}
     for op in resolved:
         if op[0] == "insert":
@@ -137,11 +138,11 @@ def drive_maintained(resolved, config):
                     if not batch.has_node(endpoint):
                         batch.add_node(known[endpoint])  # classic stub
                 batch.add_edge(Edge(edge_id, source, target, {"REL"}))
-            maintained.insert_batch(batch)
+            maintained.add_batch(batch)
         elif op[0] == "del_nodes":
-            maintained.delete_nodes(op[1])
+            maintained.apply(ChangeSet.deletions(nodes=op[1]))
         else:
-            maintained.delete_edges(op[1])
+            maintained.apply(ChangeSet.deletions(edges=op[1]))
     return maintained.refresh()
 
 

@@ -20,6 +20,11 @@ Word2Vec model of :class:`Preprocessor`, :func:`adapt_parameters`, the LSH
 classes, and :func:`extract_types`.  :class:`ReferenceSession` plugs it
 into :class:`SchemaSession`, so the oracle suites and ingest benchmarks
 compare whole change feeds against it.
+
+:class:`FullScanSession` is the matching oracle for steps (e)-(g): a
+session that keeps the union graph and recomputes post-processing by
+full scan over it on every pass, which is what the streaming
+accumulators must agree with.
 """
 
 from __future__ import annotations
@@ -213,7 +218,7 @@ class ReferenceSession(SchemaSession):
         if state.preprocessor is None:
             state.preprocessor = Preprocessor(self.config).fit_batch(batch)
         options = None
-        if self._streaming and self._streaming_valid and self.config.post_processing:
+        if self._streaming_valid and self.config.post_processing:
             options = SummaryOptions(
                 track_keys=self._track_keys,
                 pair_cap=self.config.key_pair_tracking_cap,
@@ -231,4 +236,33 @@ class ReferenceSession(SchemaSession):
             theta=self.config.theta,
             summary_options=options,
             exclude_record=exclude_record,
+        )
+
+
+class FullScanSession(SchemaSession):
+    """A :class:`SchemaSession` that post-processes by full scan only.
+
+    The union graph is always retained and no streaming accumulators are
+    built; every post-processing pass re-reads the surviving data through
+    :meth:`PGHive.post_process`.  Deletions are therefore exact by
+    recomputation -- a property can become mandatory again, bounds can
+    tighten -- which is the semantics the session's own accumulator path
+    and its post-deletion re-scan must reproduce.
+    """
+
+    def __init__(
+        self,
+        config: PGHiveConfig | None = None,
+        schema_name: str = "full-scan-schema",
+        *,
+        track_keys: bool | None = None,
+    ) -> None:
+        super().__init__(
+            config, schema_name, retain_union=True, track_keys=track_keys
+        )
+        self._streaming_valid = False
+
+    def _run_post_processing(self) -> None:
+        self._pipeline.post_process(
+            self._schema, self.union_graph, track_keys=self._track_keys
         )
