@@ -37,9 +37,10 @@ Gates (always on, full and ``--quick``):
 * the signature-grouped wire encoding must shrink change-set bytes by
   ``MIN_WAL_REDUCTION`` versus a reconstructed v1 per-row encoding.
 
-Results merge into ``BENCH_ingest.json`` under the ``dedup_ingest``
-key, alongside ``bench_ingest_columnar.py``'s ``ingest_columnar``
-section.
+With ``--json PATH`` results merge into that file (the recorded one is
+``BENCH_ingest.json``) under the ``dedup_ingest`` key, alongside
+``bench_ingest_columnar.py``'s ``ingest_columnar`` section; without it
+nothing is written.
 
 Run:        PYTHONPATH=src python benchmarks/bench_dedup_ingest.py
 Quick (CI): PYTHONPATH=src python benchmarks/bench_dedup_ingest.py --quick
@@ -394,8 +395,9 @@ def main() -> int:
     parser.add_argument(
         "--json",
         type=Path,
-        default=Path("BENCH_ingest.json"),
-        help="shared bench output path (default: BENCH_ingest.json)",
+        default=None,
+        metavar="PATH",
+        help="merge results into this file (default: write nothing)",
     )
     args = parser.parse_args()
     rows = QUICK_ROWS if args.quick else FULL_ROWS
@@ -410,8 +412,9 @@ def main() -> int:
         "min_wal_reduction": MIN_WAL_REDUCTION,
         "results": results,
     }
-    merge_json(args.json, "dedup_ingest", payload)
-    print(f"wrote {args.json}")
+    if args.json is not None:
+        merge_json(args.json, "dedup_ingest", payload)
+        print(f"wrote {args.json}")
     return exit_code
 
 

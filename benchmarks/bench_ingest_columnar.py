@@ -32,9 +32,10 @@ or the run fails (exit 1).  Thresholds are per scale because speedup
 grows with element count (fixed per-batch costs amortise); a single
 flat gate either under-constrains small sizes or can never pass at
 them.  ``--quick`` (CI) runs only the smallest size but still enforces
-that size's gate.  The trajectory merges into ``BENCH_ingest.json``
-(or ``--json PATH``) under the ``ingest_columnar`` key, alongside
-``bench_dedup_ingest.py``'s ``dedup_ingest`` section.
+that size's gate.  With ``--json PATH`` the trajectory merges into
+that file (the recorded one is ``BENCH_ingest.json``) under the
+``ingest_columnar`` key, alongside ``bench_dedup_ingest.py``'s
+``dedup_ingest`` section; without it nothing is written.
 
 Run:        PYTHONPATH=src python benchmarks/bench_ingest_columnar.py
 Quick (CI): PYTHONPATH=src python benchmarks/bench_ingest_columnar.py --quick
@@ -259,8 +260,9 @@ def main() -> int:
     parser.add_argument(
         "--json",
         type=Path,
-        default=Path("BENCH_ingest.json"),
-        help="trajectory output path (default: BENCH_ingest.json)",
+        default=None,
+        metavar="PATH",
+        help="merge the trajectory into this file (default: write nothing)",
     )
     args = parser.parse_args()
     sizes = QUICK_SIZES if args.quick else FULL_SIZES
@@ -273,8 +275,9 @@ def main() -> int:
         },
         "results": results,
     }
-    merge_json(args.json, "ingest_columnar", payload)
-    print(f"wrote {args.json}")
+    if args.json is not None:
+        merge_json(args.json, "ingest_columnar", payload)
+        print(f"wrote {args.json}")
     return exit_code
 
 

@@ -2,9 +2,14 @@
 
 Drives one synthetic columnar insert stream through
 :class:`ShardedSchemaSession` across a variant grid -- shard count x
-shard handoff (``pickle`` vs zero-copy ``shm``) x dispatch (lockstep
-``apply`` vs pipelined ``ingest_stream``) -- and reports elements/sec
-plus the speedup over that variant's own 1-shard run.  Two measurements
+shard handoff (``pickle`` vs zero-copy ``shm``) x dispatch window
+(``apply`` per change-set vs ``ingest_stream``) -- and reports
+elements/sec plus the speedup over that variant's own 1-shard run.
+The session has one dispatch loop: ``apply`` is ``ingest_stream`` with
+a window of one, so the ``apply`` rows (``pipelined: false`` in the
+JSON) measure that loop with no overlap between the coordinator and
+the shard workers, and the ``pipeline`` rows measure it with the
+default window.  Two measurements
 ride along:
 
 * **per-hop payload bytes** -- what one shard part costs on the executor
@@ -25,8 +30,10 @@ Gates:
   smaller machines process shards only add IPC overhead and the bench
   still measures honestly.  ``--require-speedup R`` overrides the floor.
 
-Results merge into ``BENCH_ingest.json`` under the ``sharded_scaling``
-key, alongside the ``ingest_columnar`` and ``dedup_ingest`` sections.
+With ``--json PATH`` results merge into that file (the recorded one is
+``BENCH_ingest.json``) under the ``sharded_scaling`` key, alongside the
+``ingest_columnar`` and ``dedup_ingest`` sections; without it nothing
+is written.
 
 Run:        PYTHONPATH=src python benchmarks/bench_sharded_scaling.py
 Quick (CI): PYTHONPATH=src python benchmarks/bench_sharded_scaling.py --quick
@@ -163,8 +170,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--json",
         type=Path,
-        default=Path("BENCH_ingest.json"),
-        help="shared bench output path (default: BENCH_ingest.json)",
+        default=None,
+        metavar="PATH",
+        help="merge results into this file (default: write nothing)",
     )
     args = parser.parse_args(argv)
 
@@ -222,7 +230,7 @@ def main(argv: list[str] | None = None) -> int:
                     row["ingest_seconds"], 1e-12
                 )
                 rows.append(row)
-                dispatch = "pipeline" if pipelined else "lockstep"
+                dispatch = "pipeline" if pipelined else "apply"
                 print(
                     f"  {n_shards} shard(s) {handoff:>6}/{dispatch:<8} "
                     f"{row['throughput']:10,.0f} elements/sec  "
@@ -250,32 +258,33 @@ def main(argv: list[str] | None = None) -> int:
         default=1.0,
     )
 
-    merge_json(
-        args.json,
-        "sharded_scaling",
-        {
-            "quick": args.quick,
-            "batches": batch_count,
-            "nodes_per_batch": nodes,
-            "total_elements": total,
-            "seed": SEED,
-            "cores": cores,
-            "parallel": parallel,
-            "shm_available": shm_available(),
-            "payload_bytes": payload_bytes,
-            "single_session_seconds": single_seconds,
-            "variants": rows,
-            "fingerprints_match": fingerprints_match,
-            "leaked_blocks": leaked_blocks,
-            "speedup_gate": {
-                "enforced": speedup_gated,
-                "required": required,
-                "at_shards": gate_shards,
-                "best": best_speedup,
+    if args.json is not None:
+        merge_json(
+            args.json,
+            "sharded_scaling",
+            {
+                "quick": args.quick,
+                "batches": batch_count,
+                "nodes_per_batch": nodes,
+                "total_elements": total,
+                "seed": SEED,
+                "cores": cores,
+                "parallel": parallel,
+                "shm_available": shm_available(),
+                "payload_bytes": payload_bytes,
+                "single_session_seconds": single_seconds,
+                "variants": rows,
+                "fingerprints_match": fingerprints_match,
+                "leaked_blocks": leaked_blocks,
+                "speedup_gate": {
+                    "enforced": speedup_gated,
+                    "required": required,
+                    "at_shards": gate_shards,
+                    "best": best_speedup,
+                },
             },
-        },
-    )
-    print(f"  wrote {args.json}")
+        )
+        print(f"  wrote {args.json}")
 
     if not fingerprints_match:
         print("FAIL: a sharded run diverged from the single-session schema")

@@ -166,13 +166,3 @@ def describe(node: ast.expr) -> str:
     except Exception:  # pragma: no cover - unparse is total on 3.9+
         return node.__class__.__name__
     return text if len(text) <= 60 else text[:57] + "..."
-
-
-def iter_parented(tree: ast.AST) -> Iterable[tuple[ast.AST, ast.AST | None]]:
-    """Yield ``(node, parent)`` over the whole tree."""
-    stack: list[tuple[ast.AST, ast.AST | None]] = [(tree, None)]
-    while stack:
-        node, parent = stack.pop()
-        yield node, parent
-        for child in ast.iter_child_nodes(node):
-            stack.append((child, node))

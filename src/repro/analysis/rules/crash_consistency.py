@@ -7,10 +7,11 @@ publishes data only when fsyncs bracket it.  Crash tests probe these
 protocols at record boundaries; these rules prove them over the call
 graph for every code path, including ones no test exercises yet.
 
-``PGL701`` -- WAL-before-apply: in ``apply``/``add_batch`` of
+``PGL701`` -- WAL-before-apply: in ``apply``/``add_batch`` (and the
+sharded dispatch loop's per-change-set hook ``_admit_change``) of
 ``DurableSchemaSession``/``DurableShardedSchemaSession`` (or any
-subclass), a session-state mutation or ``super().apply``/``add_batch``
-call must not be reachable before the ``WriteAheadLog.append`` call in
+subclass), a session-state mutation or ``super()`` call of one of those
+methods must not be reachable before the ``WriteAheadLog.append`` call in
 linearized execution order (the ``_logged_apply`` lambda protocol is
 understood: the wrapped apply runs where the helper invokes it).  Events
 guarded by a ``_replaying`` test are exempt -- replay re-applies records
@@ -53,7 +54,7 @@ DURABLE_SESSION_CLASSES = frozenset(
 )
 
 #: methods forming the durable change feed.
-_FEED_METHODS = frozenset({"apply", "add_batch"})
+_FEED_METHODS = frozenset({"apply", "add_batch", "_admit_change"})
 
 #: attribute names that denote the session's write-ahead log.
 _WAL_ATTRS = frozenset({"_wal", "wal"})

@@ -79,7 +79,6 @@ class DiscoveryResult:
     node_cluster_count: int = 0
     edge_cluster_count: int = 0
     batches_processed: int = 1
-    batch_seconds: list[float] = field(default_factory=list)
 
     @property
     def elapsed_seconds(self) -> float:

@@ -36,7 +36,9 @@ matches the uncrashed run.
 
 :class:`DurableShardedSchemaSession` is the same construction over
 :class:`~repro.core.sharding.ShardedSchemaSession`: one parent-level WAL
-(workers never log) and one manifest-checkpoint *directory* per
+(workers never log), written from the per-change-set hook of the
+sharded session's one dispatch loop -- so ``apply``, ``add_batch`` and
+``ingest_stream`` all log -- and one manifest-checkpoint *directory* per
 snapshot.  Combined with the sharded session's worker fault tolerance
 this survives both whole-process crashes (WAL) and individual worker
 deaths (retry/degrade).
@@ -51,7 +53,7 @@ from pathlib import Path
 from repro.core.config import PGHiveConfig
 from repro.core.durability import WriteAheadLog
 from repro.core.session import ChangeReport, SchemaSession
-from repro.core.sharding import ShardedChangeReport, ShardedSchemaSession
+from repro.core.sharding import ShardedSchemaSession
 from repro.errors import (
     CheckpointError,
     ConfigurationError,
@@ -352,7 +354,7 @@ class DurableSchemaSession(SchemaSession):
                 wal_segment_bytes=wal_segment_bytes,
                 keep_checkpoints=keep_checkpoints,
                 retain_union=retain_union,
-                    track_keys=track_keys,
+                track_keys=track_keys,
                 _resume=True,
             )
         session._replay_wal()
@@ -399,8 +401,10 @@ class DurableShardedSchemaSession(ShardedSchemaSession):
     """A :class:`ShardedSchemaSession` with a parent-level WAL.
 
     Change-sets are logged once, *before* partitioning, in the parent
-    process; workers never touch the log.  Checkpoints are manifest
-    directories ``checkpoint-<sequence>/`` under the session directory.
+    process, by the dispatch loop's per-change-set hook
+    (:meth:`_admit_change`) that every feed method runs through; workers
+    never touch the log.  Checkpoints are manifest directories
+    ``checkpoint-<sequence>/`` under the session directory.
     Worker deaths are handled by the base class's retry/degrade
     machinery; this class adds whole-process crash recovery on top.
     """
@@ -460,21 +464,24 @@ class DurableShardedSchemaSession(ShardedSchemaSession):
         )
 
     # ------------------------------------------------------------------
-    # Logged change feed (add_batch routes through apply in the base)
+    # Logged change feed (apply, add_batch and ingest_stream all admit
+    # their change-sets through _admit_change in the base)
     # ------------------------------------------------------------------
     @property
     def wal(self) -> WriteAheadLog:
         """The session's write-ahead log."""
         return self._wal
 
-    def apply(self, change_set: ChangeSet) -> ShardedChangeReport:
+    def _admit_change(self, change_set: ChangeSet):
         if self._replaying:
-            return super().apply(change_set)
+            return super()._admit_change(change_set)
         return _logged_apply(
             self,
             _KIND_CHANGESET,
             change_set,
-            lambda: super(DurableShardedSchemaSession, self).apply(change_set),
+            lambda: super(DurableShardedSchemaSession, self)._admit_change(
+                change_set
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -590,7 +597,7 @@ class DurableShardedSchemaSession(ShardedSchemaSession):
                 wal_segment_bytes=wal_segment_bytes,
                 keep_checkpoints=keep_checkpoints,
                 retain_union=retain_union,
-                    track_keys=track_keys,
+                track_keys=track_keys,
                 max_shard_retries=max_shard_retries,
                 retry_backoff=retry_backoff,
                 resync_every=resync_every,
@@ -610,16 +617,14 @@ class DurableShardedSchemaSession(ShardedSchemaSession):
         self._interner_pinned = base._interner_pinned
         self._signatures = base._signatures
         self._sequence = base._sequence
-        self.reports = base.reports
-        self._shards = base._shards
+        self._inproc = base._inproc
         self._pools = base._pools
         self._shard_states = base._shard_states
         self._shard_dirty = base._shard_dirty
         self._merged_state = base._merged_state
         self._pending = base._pending
-        self._degraded = base._degraded
         base._pools = None
-        base._shards = None
+        base._inproc = {}
 
     def _replay_wal(self) -> None:
         """Apply every WAL record strictly after the restored position."""

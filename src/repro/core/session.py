@@ -171,7 +171,6 @@ class SchemaSession:
             config=self.config,
             batches_processed=0,
         )
-        self.reports: list[ChangeReport] = []
         self._subscribers: list[DiffSubscriber] = []
         self._baseline: SchemaGraph | None = None
         self._store = None  # set by GraphStore.attach
@@ -369,7 +368,6 @@ class SchemaSession:
                 self._flush_postprocess()
         self._result.batches_processed += 1
         seconds = change_timer.lap("change")
-        self._result.batch_seconds.append(seconds)
         report = ChangeReport(
             sequence=self._sequence,
             nodes_inserted=inserted[0],
@@ -380,7 +378,6 @@ class SchemaSession:
             node_types_after=self._schema.node_type_count,
             edge_types_after=self._schema.edge_type_count,
         )
-        self.reports.append(report)
         self._emit(report)
         return report
 
@@ -729,12 +726,12 @@ class SchemaSession:
         schema (with its per-type accumulators), the fitted preprocessor
         and its embedding cache, the MinHash instances with their
         signature caches, the union graph when retained, and the stream
-        position.  Subscribers, the store binding, the per-change report
-        history, and wall-clock timings are process-local and deliberately
-        not captured, so the file size tracks the schema and caches, not
-        the stream length.  Written atomically (temp file + fsync +
-        rename) with a payload digest in the header that :meth:`restore`
-        verifies.
+        position.  Subscribers, the store binding and wall-clock timings
+        are process-local and deliberately not captured (the session keeps
+        no per-change history), so the file size tracks the schema and
+        caches, not the stream length.  Written atomically (temp file +
+        fsync + rename) with a payload digest in the header that
+        :meth:`restore` verifies.
         """
         path = Path(path)
         payload = {

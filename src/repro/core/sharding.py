@@ -15,10 +15,15 @@ state, combine on read -- applied to PG-HIVE:
   double-counting.  Node deletions broadcast to every shard (stub copies
   and their incident edges must cascade everywhere); edge deletions route
   to the owning shard.
-* Shards run serially in-process by default, or -- with
-  ``parallel=True`` -- each shard gets a dedicated single-worker
-  ``ProcessPoolExecutor`` so its session lives in a pinned OS process and
-  change-sets for different shards are ingested concurrently.
+* Shards run in-process by default, or -- with ``parallel=True`` --
+  each shard gets a dedicated single-worker ``ProcessPoolExecutor`` so
+  its session lives in a pinned OS process and change-sets for different
+  shards are ingested concurrently.  Both modes share one dispatch loop,
+  :meth:`~ShardedSchemaSession.ingest_stream`: each change-set is staged
+  and partitioned, its parts are submitted (in-process shards apply them
+  inline), its coordinator effects commit, and worker results are
+  collected through a bounded window.  :meth:`~ShardedSchemaSession.apply`
+  is that loop with a window of one.
 * :meth:`schema` merges the per-shard
   :class:`~repro.core.state.DiscoveryState` values through
   ``DiscoveryState.merged`` and post-processes the combined schema
@@ -38,7 +43,7 @@ state, combine on read -- applied to PG-HIVE:
   :class:`DiscoveryState` is resubmitted and the change-sets applied
   since are replayed (``_pending``), and the failed operation is
   retried.  After ``max_shard_retries`` failed restarts the shard
-  *degrades* to an in-process serial session -- correct but no longer
+  *degrades* to an in-process session -- correct but no longer
   parallel -- surfaced through a
   :class:`~repro.errors.DegradedModeWarning` and a structured
   :class:`ShardFaultEvent` journal (``fault_events``), never silently.
@@ -212,21 +217,13 @@ def _worker_adopt(state: DiscoveryState, config, schema_name, track_keys) -> int
     return _WORKER_SESSION.sequence
 
 
-#: Worker entry points by operation name, for the crash-recovery wrapper.
+#: Worker entry points by operation name, for the crash-recovery wrapper
+#: (applies go through ``ShardedSchemaSession._pool_op``'s handoff).
 _WORKER_OPS = {
-    "apply": _worker_apply,
     "state": _worker_state,
     "checkpoint": _worker_checkpoint,
+    "restore": _worker_restore,
 }
-
-
-def _degraded_op(session: SchemaSession, op: str, *args):
-    """In-process equivalent of one worker operation (degraded shards)."""
-    if op == "apply":
-        return session.apply(args[0])
-    if op == "state":
-        return session.discovery_state
-    return str(session.checkpoint(args[0]))
 
 
 @dataclass
@@ -234,7 +231,7 @@ class _PreparedChange:
     """Coordinator-side effects of one change-set, staged for dispatch.
 
     ``_prepare`` seeds the registry/signature stores and partitions;
-    dispatch failure rolls the seeds back through ``_rollback``;
+    a failed submission rolls the seeds back through ``_rollback``;
     success commits deletions and the sequence bump.  Splitting the
     phases this way lets :meth:`ShardedSchemaSession.ingest_stream`
     overlap the dispatch of several change-sets.
@@ -335,12 +332,13 @@ class ShardedSchemaSession:
         #: content-encoded in the manifest.
         self._signatures = SignatureStore(self._interner)
         self._sequence = 0
-        self.reports: list[ShardedChangeReport] = []
         self._shard_dirty = [True] * self.n_shards
         self._shard_states: list[DiscoveryState | None] = [None] * self.n_shards
         self._merged_state: DiscoveryState | None = None
-        self._shards: list[SchemaSession] | None = None
         self._pools: list[ProcessPoolExecutor] | None = None
+        #: shards whose session lives in this process: every shard of a
+        #: serial session, and each shard of a parallel one that degraded.
+        self._inproc: dict[int, SchemaSession] = {}
         # Fault tolerance (parallel mode): worker death triggers up to
         # ``max_shard_retries`` pool restarts with bounded exponential
         # backoff, resubmitting the shard's last fetched state plus the
@@ -354,7 +352,6 @@ class ShardedSchemaSession:
         self._pending: list[list[ChangeSet]] = [
             [] for _ in range(self.n_shards)
         ]
-        self._degraded: dict[int, SchemaSession] = {}
         handoff = self.config.shard_handoff
         if handoff == "shm" and not shm_available():
             raise ConfigurationError(
@@ -366,16 +363,17 @@ class ShardedSchemaSession:
             handoff = "shm" if self.parallel and shm_available() else "pickle"
         #: resolved handoff mode: ``"shm"`` ships columnar parts through
         #: shared-memory blocks, ``"pickle"`` ships whole change-sets.
-        #: Serial mode never consults it (shards apply in-process).
+        #: In-process shards never consult it.
         self.handoff = handoff
         self._shm_registry = global_shm_registry()
         #: futures submitted to each shard's pool and not yet collected
-        #: (pipelined mode keeps several in flight per shard).
+        #: (the dispatch window keeps several in flight per shard).
         self._shard_inflight = [0] * self.n_shards
         if not self.parallel:
-            self._shards = [
-                self._make_shard_session(index) for index in range(self.n_shards)
-            ]
+            self._inproc = {
+                index: self._make_shard_session(index)
+                for index in range(self.n_shards)
+            }
 
     # ------------------------------------------------------------------
     # Shard plumbing
@@ -436,11 +434,11 @@ class ShardedSchemaSession:
     @property
     def shard_sessions(self) -> list[SchemaSession]:
         """The in-process shard sessions (serial mode only)."""
-        if self._shards is None:
+        if self.parallel:
             raise ConfigurationError(
                 "shard sessions live in worker processes under parallel=True"
             )
-        return self._shards
+        return [self._inproc[index] for index in range(self.n_shards)]
 
     def __repr__(self) -> str:
         mode = "parallel" if self.parallel else "serial"
@@ -456,22 +454,11 @@ class ShardedSchemaSession:
     def apply(self, change_set: ChangeSet) -> ShardedChangeReport:
         """Partition one change-set and apply the parts to their shards.
 
-        Element inserts are converted to one columnar batch on the pinned
-        interner first (see :meth:`_columnar_inserts`); every change-set
-        then partitions over the batch's id column and the per-shard
-        sub-change-sets stay columnar, so every shard ingests through the
-        same pipeline and the node registry stores compact records.
+        This is :meth:`ingest_stream` over a one-element feed with a
+        window of one: the change-set's results are collected before
+        the call returns.
         """
-        prepared = self._prepare(change_set)
-        start = time.perf_counter()  # repro-lint: ignore[PGL102] -- dispatch wall-clock goes into the batch report only, never into state
-        try:
-            shard_reports = self._dispatch(prepared.parts)
-        except Exception:
-            self._rollback(prepared)
-            raise
-        seconds = time.perf_counter() - start  # repro-lint: ignore[PGL102] -- dispatch wall-clock goes into the batch report only, never into state
-        sequence = self._commit_coordinator(prepared)
-        return self._build_report(prepared, sequence, shard_reports, seconds)
+        return self.ingest_stream((change_set,), max_inflight=1)[0]
 
     def _prepare(self, change_set: ChangeSet) -> _PreparedChange:
         """Stage one change-set: seed registry/signatures and partition.
@@ -581,13 +568,12 @@ class ShardedSchemaSession:
     def _commit_coordinator(self, prepared: _PreparedChange) -> int:
         """Commit coordinator effects; returns the sequence number.
 
-        Union-registry deletions commit only once the parts reached
-        their shards (after dispatch in :meth:`apply`, at submission in
-        :meth:`ingest_stream` -- either way, before the next change-set
-        partitions, which keeps the registry serial-equivalent), so a
-        rejected batch cannot leave the registry missing nodes the
-        shards still hold.  The signature decrement reads the registry
-        entry before it is dropped.
+        Union-registry deletions commit only once the parts were
+        submitted to their shards -- and before the next change-set
+        partitions, which keeps the registry serial-equivalent -- so a
+        batch rejected at staging or submission cannot leave the
+        registry missing nodes the shards still hold.  The signature
+        decrement reads the registry entry before it is dropped.
         """
         for node_id in prepared.deleted_nodes:
             self._signatures.remove(
@@ -608,7 +594,7 @@ class ShardedSchemaSession:
             frozenset(prepared.change_set.stub_node_ids)
             & prepared.inserted_node_ids
         )
-        report = ShardedChangeReport(
+        return ShardedChangeReport(
             sequence=sequence,
             nodes_inserted=prepared.nodes_inserted - len(stubs),
             edges_inserted=prepared.edges_inserted,
@@ -617,8 +603,6 @@ class ShardedSchemaSession:
             seconds=seconds,
             shard_reports=shard_reports,
         )
-        self.reports.append(report)
-        return report
 
     def add_batch(self, batch: PropertyGraph) -> ShardedChangeReport:
         """Sugar: apply one insert-only property-graph batch."""
@@ -665,47 +649,33 @@ class ShardedSchemaSession:
             labelset_id, keyset_id, value_shapes(values)
         )
 
-    def _dispatch(
-        self, parts: dict[int, ChangeSet]
-    ) -> tuple[tuple[int, ChangeReport], ...]:
-        return self._collect_dispatch(self._submit_parts(parts))
-
     def _submit_parts(self, parts: dict[int, ChangeSet]) -> _InflightDispatch:
         """Ship one change-set's parts to their shards without waiting.
 
-        Serial and degraded shards apply inline (there is no process to
-        overlap with); live parallel shards get their part submitted to
-        their pinned single-worker pool -- through a shared-memory block
-        under the ``"shm"`` handoff, a pickle otherwise -- and the
-        returned dispatch carries the futures plus the block names to
-        release at collection.
+        In-process shards apply inline (there is no process to overlap
+        with); worker shards get their part submitted to their pinned
+        single-worker pool -- through a shared-memory block under the
+        ``"shm"`` handoff, a pickle otherwise -- and the returned
+        dispatch carries the futures plus the block names to release at
+        collection.
         """
         inflight = _InflightDispatch(parts=parts)
-        if not parts:
-            return inflight
-        for index in parts:
-            self._shard_dirty[index] = True
-        if not self.parallel:
-            for index, part in parts.items():
-                inflight.reports[index] = self._shards[index].apply(part)
-            return inflight
-        pools = self._ensure_pools()
         for index, part in parts.items():
-            session = self._degraded.get(index)
+            self._shard_dirty[index] = True
+            session = self._inproc.get(index)
             if session is not None:
-                inflight.reports[index] = self._degraded_apply(session, part)
+                inflight.reports[index] = self._inproc_apply(session, part)
                 continue
+            pool = self._ensure_pools()[index]
             try:
                 if self.handoff == "shm" and part.columnar is not None:
                     descriptor = encode_changeset_shm(part, self._shm_registry)
                     inflight.blocks[index] = descriptor.block
-                    inflight.futures[index] = pools[index].submit(
+                    inflight.futures[index] = pool.submit(
                         _worker_apply_shm, descriptor
                     )
                 else:
-                    inflight.futures[index] = pools[index].submit(
-                        _worker_apply, part
-                    )
+                    inflight.futures[index] = pool.submit(_worker_apply, part)
                 self._shard_inflight[index] += 1
             except (OSError, BrokenProcessPool) as error:
                 inflight.failed[index] = error
@@ -717,9 +687,9 @@ class ShardedSchemaSession:
         """Wait for one dispatch and fold in crash recovery.
 
         A shard may have degraded between this dispatch's submission and
-        now (an earlier pipelined dispatch exhausted its retries); its
-        broken future then lands in ``failed`` and the part replays on
-        the degraded in-process session instead of the recovery path.
+        now (an earlier dispatch in the window exhausted its retries);
+        its broken future then lands in ``failed`` and the part replays
+        on the in-process session instead of the recovery path.
         Shared-memory blocks release unconditionally -- the creator-side
         reference is dropped even when collection raises.
         """
@@ -736,11 +706,9 @@ class ShardedSchemaSession:
                     except (OSError, BrokenProcessPool) as error:
                         failed[index] = error
             for index in sorted(failed):
-                session = self._degraded.get(index)
+                session = self._inproc.get(index)
                 if session is not None:
-                    reports[index] = self._degraded_apply(
-                        session, parts[index]
-                    )
+                    reports[index] = self._inproc_apply(session, parts[index])
                 else:
                     reports[index] = self._recover_shard_op(
                         index, "apply", (parts[index],), failed[index]
@@ -757,25 +725,26 @@ class ShardedSchemaSession:
         *,
         max_inflight: int | None = None,
     ) -> list[ShardedChangeReport]:
-        """Apply a whole change feed with pipelined shard dispatch.
+        """Apply a whole change feed; the session's one dispatch loop.
 
-        Serial mode applies the feed change-set by change-set (there is
-        nothing to overlap).  Parallel mode overlaps the coordinator
-        stages of later change-sets -- partitioning, registry seeding,
-        shared-memory encoding -- with shard workers still ingesting
-        earlier ones: each change-set's coordinator effects commit at
-        submission (so the next change-set partitions against the exact
-        serial-equivalent registry), while worker results are collected
-        through a bounded window of ``max_inflight`` dispatches for
-        backpressure.  Single-worker pools apply each shard's parts in
-        submission order, so per-shard state is identical to lockstep
-        :meth:`apply` calls; reports come back in feed order.
+        Each change-set is staged (element inserts become one columnar
+        batch on the pinned interner, see :meth:`_columnar_inserts`;
+        the batch partitions over its id column so every shard ingests
+        columnar parts), its parts are submitted, and its coordinator
+        effects commit at submission -- so the next change-set
+        partitions against the exact serial-equivalent registry.
+        In-process shards apply their parts during submission; worker
+        shards keep ingesting earlier change-sets while the coordinator
+        stages later ones, and their results are collected through a
+        bounded window of ``max_inflight`` dispatches for backpressure.
+        Single-worker pools apply each shard's parts in submission
+        order, so per-shard state does not depend on the window; reports
+        come back in feed order.
 
-        Unlike :meth:`apply`, a change-set rejected *worker-side* after
-        its submission cannot roll the coordinator back (later
-        change-sets already partitioned against it); the error still
-        surfaces.  Coordinator-side rejection (the common class) is
-        detected at staging and rolls back exactly like :meth:`apply`.
+        Coordinator-side rejection is detected at staging or submission
+        and rolls the change-set back before its commit.  A change-set
+        rejected *worker-side* is already committed (later change-sets
+        may have partitioned against it); the error still surfaces.
         """
         if max_inflight is None:
             max_inflight = max(2, self.n_shards)
@@ -783,8 +752,6 @@ class ShardedSchemaSession:
             raise ConfigurationError(
                 f"max_inflight must be >= 1, got {max_inflight}"
             )
-        if not self.parallel:
-            return [self.apply(change_set) for change_set in change_sets]
         reports: list[ShardedChangeReport] = []
         window: deque[
             tuple[_PreparedChange, int, _InflightDispatch, float]
@@ -802,31 +769,41 @@ class ShardedSchemaSession:
                         for pending in self._pending
                     )
                 ):
-                    reports.append(self._finish_pipelined(*window.popleft()))
-                prepared = self._prepare(change_set)
-                start = time.perf_counter()  # repro-lint: ignore[PGL102] -- dispatch wall-clock goes into the batch report only, never into state
-                try:
-                    inflight = self._submit_parts(prepared.parts)
-                except Exception:
-                    self._rollback(prepared)
-                    raise
-                sequence = self._commit_coordinator(prepared)
-                window.append((prepared, sequence, inflight, start))
+                    reports.append(self._finish_dispatch(*window.popleft()))
+                window.append(self._admit_change(change_set))
             while window:
-                reports.append(self._finish_pipelined(*window.popleft()))
+                reports.append(self._finish_dispatch(*window.popleft()))
         except BaseException:
             # Drain what remains so shm blocks release and inflight
             # counters stay truthful; the first error wins.
             while window:
                 entry = window.popleft()
                 try:
-                    self._finish_pipelined(*entry)
+                    self._finish_dispatch(*entry)
                 except Exception:
                     pass
             raise
         return reports
 
-    def _finish_pipelined(
+    def _admit_change(
+        self, change_set: ChangeSet
+    ) -> tuple[_PreparedChange, int, _InflightDispatch, float]:
+        """Stage, submit and commit one change-set of the feed.
+
+        The per-change-set hook of the dispatch loop (the durable
+        session logs here).  A rejection before the commit rolls the
+        staging back; the sequence number advances only on success.
+        """
+        prepared = self._prepare(change_set)
+        start = time.perf_counter()  # repro-lint: ignore[PGL102] -- dispatch wall-clock goes into the batch report only, never into state
+        try:
+            inflight = self._submit_parts(prepared.parts)
+        except Exception:
+            self._rollback(prepared)
+            raise
+        return prepared, self._commit_coordinator(prepared), inflight, start
+
+    def _finish_dispatch(
         self,
         prepared: _PreparedChange,
         sequence: int,
@@ -848,10 +825,10 @@ class ShardedSchemaSession:
         """
         pending = self._pending[index]
         pending.append(part)
-        # While the shard still has futures in flight (pipelined mode) a
-        # state fetch would queue behind them and include their effects,
-        # so crash replay of the still-pending parts would double-apply:
-        # resync only at quiescence (ingest_stream drains to get there).
+        # While the shard still has futures in flight a state fetch
+        # would queue behind them and include their effects, so crash
+        # replay of the still-pending parts would double-apply: resync
+        # only at quiescence (ingest_stream drains to get there).
         if len(pending) >= self.resync_every and not self._shard_inflight[index]:
             self._store_fetched_state(index, self._shard_op(index, "state"))
             self._shard_dirty[index] = False
@@ -865,12 +842,12 @@ class ShardedSchemaSession:
         self._pending[index].clear()
 
     # ------------------------------------------------------------------
-    # Worker fault handling (parallel mode)
+    # Shard operations and worker fault handling
     # ------------------------------------------------------------------
     @property
     def degraded_shards(self) -> list[int]:
         """Shards that fell back to in-process serial execution."""
-        return sorted(self._degraded)
+        return sorted(self._inproc) if self.parallel else []
 
     def worker_pids(self) -> dict[int, int]:
         """PID of each live shard worker (parallel mode only).
@@ -887,38 +864,64 @@ class ShardedSchemaSession:
         return {
             index: pools[index].submit(os.getpid).result()
             for index in range(self.n_shards)
-            if index not in self._degraded
+            if index not in self._inproc
         }
 
     def _shard_op(self, index: int, op: str, *args):
-        """Run one worker operation with crash recovery."""
-        session = self._degraded.get(index)
-        if session is not None:
-            if op == "apply":
-                return self._degraded_apply(session, args[0])
-            return _degraded_op(session, op, *args)
+        """Run one shard operation, with crash recovery on a worker."""
+        if index in self._inproc:
+            return self._inproc_op(index, op, *args)
         try:
-            if op == "apply":
-                return self._apply_via_pool(
-                    self._ensure_pools()[index], args[0]
-                )
-            return self._ensure_pools()[index].submit(
-                _WORKER_OPS[op], *args
-            ).result()
+            return self._pool_op(self._ensure_pools()[index], op, *args)
         except (OSError, BrokenProcessPool) as error:
             return self._recover_shard_op(index, op, args, error)
 
-    def _apply_via_pool(
-        self, pool: ProcessPoolExecutor, part: ChangeSet
-    ) -> ChangeReport:
-        """Apply one change-set through a shard pool, active handoff.
+    def _run_on_shards(
+        self, op: str, shard_args: dict[int, tuple]
+    ) -> dict[int, object]:
+        """Run ``op`` on several shards, worker shards concurrently.
 
-        Recovery replay must ship parts the same way the live path does:
-        under the shm handoff a worker decodes every batch against its
-        current interner, and slipping a pickled batch (which carries a
+        Worker shards get their operation submitted together; in-process
+        shards -- and a worker that died, through its crash-recovery
+        path -- then run it one by one.  Worker-side errors other than
+        a dead worker surface.
+        """
+        futures = {}
+        for index, args in shard_args.items():
+            if index in self._inproc:
+                continue
+            try:
+                futures[index] = self._ensure_pools()[index].submit(
+                    _WORKER_OPS[op], *args
+                )
+            except (OSError, BrokenProcessPool):
+                continue
+        if futures:
+            wait(list(futures.values()))
+        results = {}
+        for index, future in futures.items():
+            try:
+                results[index] = future.result()
+            except (OSError, BrokenProcessPool):
+                continue
+        for index, args in shard_args.items():
+            if index not in results:
+                results[index] = self._shard_op(index, op, *args)
+        return results
+
+    def _pool_op(self, pool: ProcessPoolExecutor, op: str, *args):
+        """Run one worker operation through a shard pool and wait for it.
+
+        An apply ships its part through the active handoff: recovery
+        replay must ship parts the same way the live path does.  Under
+        the shm handoff a worker decodes every batch against its current
+        interner, and slipping a pickled batch (which carries a
         coordinator-lineage interner copy) in between would break the
         grow-only id lineage its signature refcounts rely on.
         """
+        if op != "apply":
+            return pool.submit(_WORKER_OPS[op], *args).result()
+        (part,) = args
         if self.handoff == "shm" and part.columnar is not None:
             descriptor = encode_changeset_shm(part, self._shm_registry)
             try:
@@ -927,18 +930,32 @@ class ShardedSchemaSession:
                 self._shm_registry.release(descriptor.block)
         return pool.submit(_worker_apply, part).result()
 
-    def _degraded_apply(
+    def _inproc_op(self, index: int, op: str, *args):
+        """In-process equivalent of one worker operation."""
+        session = self._inproc[index]
+        if op == "apply":
+            return self._inproc_apply(session, args[0])
+        if op == "state":
+            return session.discovery_state
+        if op == "restore":
+            self._inproc[index] = SchemaSession.restore(args[0])
+            return self._inproc[index].sequence
+        return str(session.checkpoint(args[0]))
+
+    def _inproc_apply(
         self, session: SchemaSession, part: ChangeSet
     ) -> ChangeReport:
-        """Apply one change-set on a degraded in-process session.
+        """Apply one change-set on an in-process shard session.
 
-        Under the shm handoff the degraded session's interner is a
-        worker-lineage copy (restored from the recovery baseline), so
-        the part -- built against the coordinator's interner -- is
-        rebased onto the session's interner first; under the pickle
-        handoff batches already carry a compatible interner.
+        A shard that degraded under the shm handoff holds a
+        worker-lineage interner copy (restored from the recovery
+        baseline), so the part -- built against the coordinator's
+        interner -- is rebased onto the session's interner first.
+        Under the pickle handoff batches already carry a compatible
+        interner, and the shards of a serial session never rebase: the
+        handoff only matters across a process hop.
         """
-        if self.handoff == "shm":
+        if self.parallel and self.handoff == "shm":
             part = rebase_changeset(
                 part, session.discovery_state.interner or global_interner()
             )
@@ -955,22 +972,15 @@ class ShardedSchemaSession:
             self._backoff(attempt)
             try:
                 self._restart_shard_pool(index)
-                if op == "apply":
-                    result = self._apply_via_pool(self._pools[index], args[0])
-                else:
-                    result = self._pools[index].submit(
-                        _WORKER_OPS[op], *args
-                    ).result()
+                result = self._pool_op(self._pools[index], op, *args)
             except (OSError, BrokenProcessPool) as retry_error:
                 detail = f"{type(retry_error).__name__}: {retry_error}"
                 continue
             if op == "apply":
                 self._record_applied(index, args[0])
             return result
-        session = self._degrade_shard(index, detail)
-        if op == "apply":
-            return self._degraded_apply(session, args[0])
-        return _degraded_op(session, op, *args)
+        self._degrade_shard(index, detail)
+        return self._inproc_op(index, op, *args)
 
     def _backoff(self, attempt: int) -> None:
         delay = min(self.retry_backoff * (2 ** (attempt - 1)), 1.0)
@@ -992,9 +1002,9 @@ class ShardedSchemaSession:
                 self._track_keys,
             ).result()
         for part in self._pending[index]:
-            self._apply_via_pool(pools[index], part)
+            self._pool_op(pools[index], "apply", part)
 
-    def _degrade_shard(self, index: int, detail: str) -> SchemaSession:
+    def _degrade_shard(self, index: int, detail: str) -> None:
         """Exhausted retries: rebuild the shard in-process and continue.
 
         Correctness is preserved (last fetched state + pending replay,
@@ -1030,53 +1040,23 @@ class ShardedSchemaSession:
                 track_keys=self._track_keys,
             )
         for part in self._pending[index]:
-            self._degraded_apply(session, part)
+            self._inproc_apply(session, part)
         self._pending[index].clear()
-        self._degraded[index] = session
-        return session
+        self._inproc[index] = session
 
     # ------------------------------------------------------------------
     # Merged read view
     # ------------------------------------------------------------------
-    def _fetch_state(self, index: int) -> DiscoveryState:
-        if not self.parallel:
-            return self._shards[index].discovery_state
-        return self._shard_op(index, "state")
-
     def _refresh_states(self) -> list[DiscoveryState]:
-        states: list[DiscoveryState] = []
-        if self.parallel:
-            # Fetch all dirty live shards concurrently (pickle
-            # round-trips); a dead worker falls back to the serial
-            # crash-recovery path below.
-            pools = self._ensure_pools()
-            futures = {}
-            for index in range(self.n_shards):
-                if index in self._degraded:
-                    continue
-                if self._shard_dirty[index] or self._shard_states[index] is None:
-                    try:
-                        futures[index] = pools[index].submit(_worker_state)
-                    except (OSError, BrokenProcessPool):
-                        continue
-            if futures:
-                wait(list(futures.values()))
-            for index, future in futures.items():
-                try:
-                    self._store_fetched_state(index, future.result())
-                except (OSError, BrokenProcessPool):
-                    continue
-                self._shard_dirty[index] = False
-        for index in range(self.n_shards):
-            if self._shard_dirty[index] or self._shard_states[index] is None:
-                state = self._fetch_state(index)
-                if self.parallel:
-                    self._store_fetched_state(index, state)
-                else:
-                    self._shard_states[index] = state  # repro-lint: ignore[PGL802] -- per-shard fetch+store commit together each iteration; a fetch failure leaves earlier shards fully stored and clean, never torn
-                self._shard_dirty[index] = False
-            states.append(self._shard_states[index])
-        return states
+        stale = {
+            index: ()
+            for index in range(self.n_shards)
+            if self._shard_dirty[index] or self._shard_states[index] is None
+        }
+        for index, state in self._run_on_shards("state", stale).items():
+            self._store_fetched_state(index, state)
+            self._shard_dirty[index] = False
+        return list(self._shard_states)
 
     def schema(self) -> SchemaGraph:
         """The merged schema as of the last applied change-set.
@@ -1127,44 +1107,20 @@ class ShardedSchemaSession:
         Layout: one ``manifest.ckpt`` (versioned header + pickled
         metadata incl. the node registry and the stream position) plus
         one ordinary :meth:`SchemaSession.checkpoint` file per shard.
-        In parallel mode every shard writes its own file from inside its
-        worker process.  The manifest is written last, so a directory
-        with a readable manifest always has complete shard files.
+        A worker shard writes its own file from inside its worker
+        process.  The manifest is written last, so a directory with a
+        readable manifest always has complete shard files.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         shard_files = [f"shard-{index:03d}.ckpt" for index in range(self.n_shards)]
-        if self.parallel:
-            pools = self._ensure_pools()
-            futures = {}
-            for index in range(self.n_shards):
-                if index in self._degraded:
-                    continue
-                try:
-                    futures[index] = pools[index].submit(
-                        _worker_checkpoint, str(directory / shard_files[index])
-                    )
-                except (OSError, BrokenProcessPool):
-                    continue
-            if futures:
-                wait(list(futures.values()))
-            done = set()
-            for index, future in futures.items():
-                try:
-                    future.result()  # surface worker-side errors
-                    done.add(index)
-                except (OSError, BrokenProcessPool):
-                    continue
-            for index in range(self.n_shards):
-                if index not in done:
-                    # Degraded shard, or the worker died mid-checkpoint:
-                    # the recovery wrapper restarts/replays and rewrites.
-                    self._shard_op(
-                        index, "checkpoint", str(directory / shard_files[index])
-                    )
-        else:
-            for index in range(self.n_shards):
-                self._shards[index].checkpoint(directory / shard_files[index])
+        self._run_on_shards(
+            "checkpoint",
+            {
+                index: (str(directory / name),)
+                for index, name in enumerate(shard_files)
+            },
+        )
         payload = {
             "config": self.config,
             "schema_name": self.schema_name,
@@ -1242,22 +1198,15 @@ class ShardedSchemaSession:
         # Restored records were re-interned against the process-wide
         # interner; later columnar batches must share it.
         session._interner_pinned = bool(registry)
-        shard_paths = [directory / name for name in payload["shard_files"]]
-        if session.parallel:
-            pools = session._ensure_pools()
-            futures = [
-                pools[index].submit(_worker_restore, str(shard_paths[index]))
-                for index in range(session.n_shards)
-            ]
-            wait(futures)
-            for future in futures:
-                future.result()
-            # Seed the crash-recovery baselines: a worker that dies
-            # before the first merged read must get the restored state
-            # resubmitted, not a fresh session.
-            session._refresh_states()
-        else:
-            session._shards = [
-                SchemaSession.restore(path) for path in shard_paths
-            ]
+        session._run_on_shards(
+            "restore",
+            {
+                index: (str(directory / name),)
+                for index, name in enumerate(payload["shard_files"])
+            },
+        )
+        # Seed the crash-recovery baselines: a worker that dies before
+        # the first merged read must get the restored state resubmitted,
+        # not a fresh session.
+        session._refresh_states()
         return session

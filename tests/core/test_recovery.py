@@ -511,6 +511,39 @@ class TestDurableShardedSession:
         assert schema_fingerprint(recovered.schema()) == oracle_fingerprint(feed)
         recovered.close()
 
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_ingest_stream_is_logged(self, tmp_path, parallel):
+        """A streamed feed is as durable as one applied change-set at a time.
+
+        Closing without a checkpoint leaves only the WAL, so recovery must
+        replay every acknowledged change-set of the stream.
+        """
+        feed = change_feed()
+        directory = tmp_path / ("parallel" if parallel else "serial")
+        shape = dict(schema_name="s", n_shards=2, retain_union=True)
+        session = DurableShardedSchemaSession(
+            directory, CONFIG, parallel=parallel, fsync="off", **shape
+        )
+        try:
+            session.ingest_stream(feed)
+            sequence = session.sequence
+            last_logged = session.wal.last_sequence
+            want = schema_fingerprint(session.schema())
+        finally:
+            session.close()
+        assert sequence == len(feed)
+        assert last_logged == sequence
+
+        recovered = DurableShardedSchemaSession.recover(
+            directory, parallel=parallel, config=CONFIG, fsync="off", **shape
+        )
+        try:
+            assert recovered.sequence == sequence
+            assert recovered.wal.last_sequence == sequence
+            assert schema_fingerprint(recovered.schema()) == want
+        finally:
+            recovered.close()
+
     def test_parallel_recover_matches_serial_oracle(self, tmp_path):
         feed = change_feed()
         directory = tmp_path / "par"

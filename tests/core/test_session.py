@@ -54,10 +54,14 @@ class TestChangeFeed:
         )
 
     def test_reports_and_sequence(self, figure1_graph):
-        session = feed(SchemaSession(PGHiveConfig(seed=0)), figure1_graph)
-        assert [r.sequence for r in session.reports] == [1, 2, 3]
+        session = SchemaSession(PGHiveConfig(seed=0))
+        reports = [
+            session.add_batch(batch)
+            for batch in split_into_batches(figure1_graph, 3, seed=4)
+        ]
+        assert [r.sequence for r in reports] == [1, 2, 3]
         assert session.sequence == 3
-        assert all(r.seconds >= 0.0 for r in session.reports)
+        assert all(r.seconds >= 0.0 for r in reports)
 
     def test_empty_change_set_is_a_recorded_noop(self, figure1_graph):
         session = feed(SchemaSession(PGHiveConfig(seed=0)), figure1_graph)

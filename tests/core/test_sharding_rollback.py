@@ -39,11 +39,10 @@ def test_rejected_changeset_rolls_back_coordinator_state():
         session.apply(_bad_change_set())
 
     # As if the batch never happened: no ghost registry entries, no
-    # sequence bump, no report, no interner pin.
+    # sequence bump, no interner pin.
     assert "vX" not in session._registry
     assert session._registry == registry_before
     assert session.sequence == sequence
-    assert len(session.reports) == sequence
     assert session._interner_pinned == pinned_before
 
 
